@@ -5,8 +5,8 @@
 //
 // Event logs use the unified powerfail-events v2 format (integer-ns
 // timestamps, block and structured observability events interleaved on
-// one clock; see internal/obs). Legacy headerless float-seconds logs are
-// rejected with a hint; re-parse them with -legacy.
+// one clock; see internal/obs). Input without its header line is
+// rejected.
 //
 // Usage:
 //
@@ -14,13 +14,11 @@
 //	blkreport -demo -events         # print the unified event log instead
 //	blkreport < events.log          # summarize a saved unified event log
 //	blkreport -timeline < events.log  # readable timeline of obs events
-//	blkreport -legacy < old.log     # summarize a pre-v2 float-seconds log
 //	blkreport -per-io < dump.txt    # summarize a saved per-IO dump
 //	blkreport -validate-chrome f.json # check a Chrome trace-event export
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +37,6 @@ func main() {
 	demo := flag.Bool("demo", false, "generate a demonstration trace")
 	events := flag.Bool("events", false, "with -demo: print the unified event log instead of the per-IO dump")
 	perIO := flag.Bool("per-io", false, "parse stdin as a per-IO dump rather than an event log")
-	legacy := flag.Bool("legacy", false, "parse stdin as a pre-v2 headerless float-seconds event log")
 	timeline := flag.Bool("timeline", false, "print a readable timeline of the structured obs events on stdin")
 	validateChrome := flag.String("validate-chrome", "", "validate a Chrome trace-event JSON file and exit")
 	flag.Parse()
@@ -74,19 +71,8 @@ func main() {
 			os.Exit(1)
 		}
 		ios = parsed
-	case *legacy:
-		evs, err := blktrace.ParseEvents(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ios = blktrace.Assemble(evs)
 	default:
 		obsEvents, blkEvents, err := obs.ReadUnifiedEvents(os.Stdin)
-		if errors.Is(err, obs.ErrLegacyFormat) {
-			fmt.Fprintf(os.Stderr, "blkreport: %v\nhint: re-run with -legacy to parse the old headerless float-seconds format\n", err)
-			os.Exit(2)
-		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

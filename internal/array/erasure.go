@@ -7,15 +7,16 @@ import (
 	"powerfail/internal/obs"
 )
 
-// --- RAID-6 / RS: rotating multi-parity with read-modify-write ---
+// --- RAID-5 / RAID-6 / RS: rotating m+k parity with read-modify-write ---
 //
-// The coded levels generalise the RAID-5 path: each stripe carries k
-// parity shards on a rotating run of members, small writes delta-update
-// every parity under the stripe lock, and a degraded read reconstructs
-// the missing chunk from any m surviving shards via the GF(256) code.
-// The write hole widens accordingly: a fault between the 1+k write
-// acknowledgements leaves the stripe internally inconsistent whenever a
-// proper, non-empty subset of the writes landed.
+// Every parity level runs here as an m+k code; RAID-5 is the k=1 case,
+// whose all-ones parity row is plain XOR. Each stripe carries k parity
+// shards on a rotating run of members, small writes delta-update every
+// parity under the stripe lock, and a degraded read reconstructs the
+// missing chunk from any m surviving shards via the GF(256) code. A fault
+// between the 1+k write acknowledgements leaves the stripe internally
+// inconsistent (the write hole) whenever a proper, non-empty subset of
+// the writes landed; for RAID-5 that is exactly one of the two writes.
 
 func (a *Array) submitCoded(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
 	chunks := a.chunksOf(lpn, pages)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"powerfail/internal/addr"
@@ -241,9 +242,7 @@ func ParsePerIO(r io.Reader) ([]*IO, error) {
 		if _, err := fmt.Sscanf(text, "  q=%f d=%f c=%f", &q, &d, &c); err != nil {
 			return nil, fmt.Errorf("blktrace: parse line %d: %w", line, err)
 		}
-		cur.QueueAt = sim.Time(sim.Seconds(q))
-		cur.FirstDispatch = sim.Time(sim.Seconds(d))
-		cur.LastComplete = sim.Time(sim.Seconds(c))
+		cur.QueueAt, cur.FirstDispatch, cur.LastComplete = nsOf(q), nsOf(d), nsOf(c)
 		cur.haveDispatch = cur.FirstDispatch != 0
 	}
 	if err := sc.Err(); err != nil {
@@ -252,48 +251,7 @@ func ParsePerIO(r io.Reader) ([]*IO, error) {
 	return out, nil
 }
 
-// WriteEvents emits the raw event stream in the blkparse-like line format.
-func WriteEvents(w io.Writer, events []Event) error {
-	for _, e := range events {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseEvents reads the WriteEvents format.
-func ParseEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 {
-			continue
-		}
-		var secs float64
-		var act, op string
-		var e Event
-		_, err := fmt.Sscanf(text, "%f %s %s req=%d sub=%d lpn=%d pages=%d",
-			&secs, &act, &op, &e.Req, &e.Sub, (*int64)(&e.LPN), &e.Pages)
-		if err != nil {
-			return nil, fmt.Errorf("blktrace: parse line %d: %w", line, err)
-		}
-		if len(act) != 1 || len(op) != 1 {
-			return nil, fmt.Errorf("blktrace: parse line %d: bad action/op", line)
-		}
-		e.At = sim.Time(sim.Seconds(secs))
-		e.Act = Action(act[0])
-		e.Op = OpKind(op[0])
-		if !e.Act.Valid() {
-			return nil, fmt.Errorf("blktrace: parse line %d: unknown action %q", line, act)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// nsOf converts a dumped float-seconds timestamp back to the simulated
+// nanosecond it was printed from. It rounds: truncating would turn the
+// printed 0.000000015 (15 ns, read as 14.999999999999998e-9 s) into 14.
+func nsOf(secs float64) sim.Time { return sim.Time(math.Round(secs * float64(sim.Second))) }

@@ -1,15 +1,15 @@
 // Package blktrace reimplements, inside the simulation, the IO tracing
-// pipeline the paper builds on: blktrace-style block-layer events, a
-// blkparse-style text format, and a btt-style per-IO assembler (the paper
-// modified btt's --per-io-dump to track sub-request completion). The
-// Analyzer decides whether a request "completed" — all of its block-layer
-// sub-requests reached the C state before the 30 s timeout — from this
-// trace alone, just as the paper's software part does.
+// pipeline the paper builds on: blktrace-style block-layer events and a
+// btt-style per-IO assembler with its per-IO dump (the paper modified
+// btt's --per-io-dump to track sub-request completion). IO.Complete is
+// the paper's "completed" flag: every block-layer sub-request reached
+// the C state before the 30 s timeout. The analyzer reads the same flag
+// from each request's completion status (blockdev tests pin the two
+// equal), so events are recorded only for traced runs and exports; the
+// event text format lives in internal/obs.
 package blktrace
 
 import (
-	"fmt"
-
 	"powerfail/internal/addr"
 	"powerfail/internal/sim"
 )
@@ -65,31 +65,18 @@ type Event struct {
 	Pages int
 }
 
-// String renders the event in a blkparse-like single-line format.
-func (e Event) String() string {
-	return fmt.Sprintf("%.9f %c %c req=%d sub=%d lpn=%d pages=%d",
-		e.At.Seconds(), e.Act, e.Op, e.Req, e.Sub, e.LPN, e.Pages)
-}
-
-// Tracer accumulates events. It is append-only; the analyzer folds the
-// whole stream into its packets after each fault and Resets it.
+// Tracer accumulates events. It is append-only; a traced run folds the
+// stream into its obs trace after each fault and Resets it. An untraced
+// block layer has no Tracer at all (blockdev.New accepts nil).
 type Tracer struct {
-	events  []Event
-	enabled bool
+	events []Event
 }
 
-// NewTracer returns an enabled tracer.
-func NewTracer() *Tracer { return &Tracer{enabled: true} }
+// NewTracer returns an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
-// SetEnabled toggles recording.
-func (t *Tracer) SetEnabled(on bool) { t.enabled = on }
-
-// Record appends an event if tracing is enabled.
-func (t *Tracer) Record(e Event) {
-	if t.enabled {
-		t.events = append(t.events, e)
-	}
-}
+// Record appends an event.
+func (t *Tracer) Record(e Event) { t.events = append(t.events, e) }
 
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int { return len(t.events) }

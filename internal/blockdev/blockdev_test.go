@@ -292,3 +292,73 @@ func TestOpStrings(t *testing.T) {
 		t.Fatal("op strings wrong")
 	}
 }
+
+// TestTraceCompletionMatchesStatus pins the paper's btt completion rule to
+// the request status the completion callback carries: a request's
+// assembled per-IO record is complete (every sub-request reached C, none
+// errored, no timeout, issued) exactly when it finished with no error and
+// was issued. Reports take the flag from the status, so this is the check
+// that the two never disagree.
+func TestTraceCompletionMatchesStatus(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(cfg *Config, dev *fakeDevice)
+		n     int
+		pages int
+		// complete is how many of the n requests should complete.
+		complete int
+	}{
+		{"ok", func(*Config, *fakeDevice) {}, 1, 300, 1},
+		{"device error", func(_ *Config, dev *fakeDevice) { dev.failAll = true }, 1, 300, 0},
+		// The device answers after the 30 s deadline; the queue has
+		// already failed the request and drops the late completion.
+		{"timeout", func(cfg *Config, dev *fakeDevice) {
+			cfg.Timeout = 30 * sim.Second
+			dev.latency = 31 * sim.Second
+		}, 1, 8, 0},
+		{"queue full", func(cfg *Config, dev *fakeDevice) {
+			cfg.PendingCap, cfg.Depth = 2, 1
+			dev.latency = 10 * sim.Millisecond
+		}, 6, 1, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			k := sim.New()
+			dev := newFake(k)
+			tc.setup(&cfg, dev)
+			tr := blktrace.NewTracer()
+			q, err := New(k, dev, tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byID := map[uint64]*Request{}
+			for i := 0; i < tc.n; i++ {
+				req := &Request{Op: OpWrite, LPN: addr.LPN(i * tc.pages), Pages: tc.pages, Data: content.Zeroes(tc.pages), Done: func(*Request) {}}
+				q.Submit(req)
+				byID[req.ID] = req
+			}
+			k.Run()
+			ios := blktrace.Assemble(tr.Events())
+			if len(ios) != tc.n {
+				t.Fatalf("assembled %d IOs, want %d", len(ios), tc.n)
+			}
+			complete := 0
+			for _, io := range ios {
+				if io.Complete() {
+					complete++
+				}
+				req := byID[io.Req]
+				if req == nil {
+					t.Fatalf("trace names unknown request %d", io.Req)
+				}
+				if want := req.Err == nil && !req.NotIssued; io.Complete() != want {
+					t.Errorf("req %d: btt complete=%v, status err=%v not-issued=%v", io.Req, io.Complete(), req.Err, req.NotIssued)
+				}
+			}
+			if complete != tc.complete {
+				t.Fatalf("%d of %d requests complete, want %d", complete, tc.n, tc.complete)
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/sim"
@@ -181,6 +180,7 @@ func (a *Analyzer) OnComplete(req *blockdev.Request) {
 	pkt.CompleteTime = req.Completed
 	pkt.Err = req.Err
 	pkt.NotIssued = req.NotIssued
+	pkt.Completed = req.Err == nil && !req.NotIssued
 	if req.Err == nil {
 		a.counts.Completed++
 	} else {
@@ -195,17 +195,6 @@ func (a *Analyzer) OnComplete(req *blockdev.Request) {
 		return
 	}
 	a.pending = append(a.pending, pkt)
-}
-
-// AttachTrace merges the btt per-IO assembly into the packets: the
-// Completed flag the classification rules hinge on comes from the trace,
-// exactly as in the paper's modified btt flow.
-func (a *Analyzer) AttachTrace(ios []*blktrace.IO) {
-	for _, io := range ios {
-		if pkt, ok := a.byReq[io.Req]; ok {
-			pkt.Completed = io.Complete()
-		}
-	}
 }
 
 // VerifyCandidates returns the packets to verify after a fault: all

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/sim"
@@ -200,16 +199,34 @@ func TestLateCorruptionCountsOnce(t *testing.T) {
 	}
 }
 
+// TestAttachTrace: the packet's btt completion flag is attached from the
+// request's status at host completion — set only for an issued request
+// that finished without error, never for one still in flight.
 func TestAttachTrace(t *testing.T) {
 	_, a := newAnalyzer()
-	req := &blockdev.Request{ID: 42, Op: blockdev.OpWrite, LPN: 0, Pages: 1, Data: content.Make(1)}
-	a.OnIssue(req)
-	a.OnComplete(req) // stays pending so VerifyCandidates returns it
-	ios := []*blktrace.IO{{Req: 42, Subs: 1, SubsDone: 1}}
-	a.AttachTrace(ios)
-	pkt := a.VerifyCandidates(0)[0]
-	if !pkt.Completed {
-		t.Fatal("trace completion not attached")
+	cases := []struct {
+		name      string
+		err       error
+		notIssued bool
+		want      bool
+	}{
+		{"ok", nil, false, true},
+		{"device error", errors.New("media"), false, false},
+		{"timeout", blockdev.ErrTimeout, false, false},
+		{"not issued", blockdev.ErrQueueFull, true, false},
+	}
+	for i, tc := range cases {
+		req := &blockdev.Request{ID: uint64(i + 1), Op: blockdev.OpWrite, Pages: 1, Data: content.Make(1)}
+		pkt := a.OnIssue(req)
+		req.Err, req.NotIssued = tc.err, tc.notIssued
+		a.OnComplete(req)
+		if pkt.Completed != tc.want {
+			t.Errorf("%s: Completed = %v, want %v", tc.name, pkt.Completed, tc.want)
+		}
+	}
+	inflight := a.OnIssue(&blockdev.Request{ID: 99, Op: blockdev.OpWrite, Pages: 1, Data: content.Make(2)})
+	if inflight.Completed {
+		t.Error("in-flight request marked completed")
 	}
 }
 

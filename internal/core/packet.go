@@ -72,8 +72,10 @@ type Packet struct {
 
 	Err       error
 	NotIssued bool
-	// Completed mirrors the btt-derived flag: all block-layer
-	// sub-requests reached the complete state.
+	// Completed is the paper's btt completion flag: all block-layer
+	// sub-requests reached the complete state. It is set from the
+	// request's status at host completion (no error, and issued), which
+	// equals btt's per-IO verdict on the same request.
 	Completed bool
 
 	Verified bool

@@ -110,9 +110,6 @@ type Options struct {
 	// entirely: reports are byte-identical to builds without the layer,
 	// and the instrumented paths cost one nil check each.
 	Obs *obs.Config
-	// Trace disables blktrace recording when false is forced; tracing is
-	// on by default (required for completed/incomplete detection).
-	DisableTrace bool
 }
 
 func (o Options) withDefaults() Options {
@@ -218,7 +215,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: unknown topology kind %d", int(opts.Topology.Kind))
 	}
 
-	if !opts.DisableTrace {
+	if p.ObsScope("blk").TracingOn() {
 		p.Tracer = blktrace.NewTracer()
 	}
 	host, err := blockdev.New(k, p.Dev, p.Tracer, opts.Host)

@@ -394,20 +394,14 @@ func (r *Runner) maybeStartVerify() {
 	if r.ph != phaseVerify || r.outstanding > 0 || r.verifyQueue != nil {
 		return
 	}
-	// Fold the trace into the packets, then reset it to bound memory: the
-	// merged Completed flags survive on the packets, so events never need
-	// to be replayed and no cursor into the stream has to be kept.
+	// A traced run folds the fault cycle's block IOs into the obs trace
+	// as queue-to-complete spans, then resets the tracer to bound memory,
+	// so block and obs traces share one clock and one export.
 	if r.p.Tracer != nil {
-		ios := blktrace.Assemble(r.p.Tracer.Events())
-		r.analyzer.AttachTrace(ios)
-		// Fold the fault cycle's block IOs into the obs trace as
-		// queue-to-complete spans before the raw events are discarded, so
-		// block and obs traces share one clock and one export.
-		if sc := r.p.ObsScope("blk"); sc.TracingOn() {
-			for _, bio := range ios {
-				if bio.Complete() {
-					sc.Span(bio.QueueAt, bio.Q2C(), obs.KindBlockIO, bio.Op.String(), int64(bio.Req))
-				}
+		sc := r.p.ObsScope("blk")
+		for _, bio := range blktrace.Assemble(r.p.Tracer.Events()) {
+			if bio.Complete() {
+				sc.Span(bio.QueueAt, bio.Q2C(), obs.KindBlockIO, bio.Op.String(), int64(bio.Req))
 			}
 		}
 		r.p.Tracer.Reset()

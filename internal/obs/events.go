@@ -13,15 +13,15 @@ import (
 )
 
 // EventsHeader is the first line of the unified obs/blktrace event
-// format. Version 2 supersedes the headerless blkparse-like format that
-// blktrace.WriteEvents emits; the version bump buys exact integer-
-// nanosecond timestamps (the old format roundtripped through float
-// seconds) and one merged clock for block and obs events.
+// format, the repository's one block-event text format. Version 2
+// superseded a headerless blkparse-like format with float-second
+// timestamps; v2 carries exact integer-nanosecond timestamps and one
+// merged clock for block and obs events.
 const EventsHeader = "# powerfail-events v2"
 
-// ErrLegacyFormat is wrapped by ReadUnifiedEvents when fed a headerless
-// pre-v2 blktrace event dump, so tools can show a usage hint instead of
-// misparsing.
+// ErrLegacyFormat is wrapped by ReadUnifiedEvents when fed input without
+// the v2 header (such as a pre-v2 blktrace event dump), so it is rejected
+// instead of misparsed.
 var ErrLegacyFormat = fmt.Errorf("legacy blktrace event format (missing %q header)", EventsHeader)
 
 // WriteUnifiedEvents writes obs and block events merged onto one clock in
@@ -99,7 +99,13 @@ func ReadUnifiedEvents(r io.Reader) ([]Event, []blktrace.Event, error) {
 		if err != nil || n != 2 {
 			return nil, nil, fmt.Errorf("obs: parse line %d: bad record prefix", line)
 		}
-		rest := text[strings.Index(text, tag)+len(tag):]
+		// Sscanf reads invalid UTF-8 as U+FFFD, so the token it returns
+		// need not occur in text verbatim.
+		at := strings.Index(text, tag)
+		if at < 0 {
+			return nil, nil, fmt.Errorf("obs: parse line %d: bad record tag", line)
+		}
+		rest := text[at+len(tag):]
 		switch tag {
 		case "blk":
 			var act, op string

@@ -232,13 +232,8 @@ func TestUnifiedEventsRoundtrip(t *testing.T) {
 
 func TestUnifiedEventsRejectsLegacy(t *testing.T) {
 	// The pre-v2 blkparse-like format must error cleanly, not misparse.
-	var legacy bytes.Buffer
-	if err := blktrace.WriteEvents(&legacy, []blktrace.Event{
-		{At: 10, Act: blktrace.ActQueue, Op: blktrace.OpRead, Req: 1, Sub: -1, LPN: 1, Pages: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := ReadUnifiedEvents(bytes.NewReader(legacy.Bytes()))
+	legacy := "0.000000010 Q R req=1 sub=-1 lpn=1 pages=1\n"
+	_, _, err := ReadUnifiedEvents(strings.NewReader(legacy))
 	if !errors.Is(err, ErrLegacyFormat) {
 		t.Fatalf("legacy input: got %v, want ErrLegacyFormat", err)
 	}
@@ -258,15 +253,10 @@ func TestChromeTraceWriteValidate(t *testing.T) {
 		{At: 2000, Dur: 500, Kind: KindTxn, Comp: "txn", Name: "commit", Value: 17},
 		{At: 2500, Kind: KindQueueDepth, Comp: "blockdev", Name: "inflight", Value: 3},
 		{At: 3000, Kind: KindState, Comp: "fleet", Name: "g0/bay1 healthy>degraded"},
-	}
-	blk := []blktrace.Event{
-		{At: 100, Act: blktrace.ActQueue, Op: blktrace.OpWrite, Req: 9, Sub: -1, LPN: 5, Pages: 4},
-		{At: 100, Act: blktrace.ActSplit, Op: blktrace.OpWrite, Req: 9, Sub: 0, LPN: 5, Pages: 4},
-		{At: 150, Act: blktrace.ActDispatch, Op: blktrace.OpWrite, Req: 9, Sub: 0, LPN: 5, Pages: 4},
-		{At: 900, Act: blktrace.ActComplete, Op: blktrace.OpWrite, Req: 9, Sub: 0, LPN: 5, Pages: 4},
+		{At: 100, Dur: 800, Kind: KindBlockIO, Comp: "blk", Name: "W", Value: 9},
 	}
 	var a, b bytes.Buffer
-	procs := []Process{{Name: "item-0", Events: events, Blk: blk}}
+	procs := []Process{{Name: "item-0", Events: events}}
 	if err := WriteChromeTrace(&a, procs); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +274,7 @@ func TestChromeTraceWriteValidate(t *testing.T) {
 	if n != 11 {
 		t.Fatalf("validated %d events, want 11:\n%s", n, a.String())
 	}
-	if !strings.Contains(a.String(), `"name":"W 4p","ph":"X"`) {
+	if !strings.Contains(a.String(), `"name":"W","ph":"X","ts":0.1,"dur":0.8`) {
 		t.Fatalf("complete block IO should render as a span:\n%s", a.String())
 	}
 	if _, err := ValidateChromeTrace(strings.NewReader(`{"foo":1}`)); err == nil {

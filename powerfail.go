@@ -51,8 +51,9 @@
 // capacitive discharge the drive under test experiences — and the drives
 // themselves are modelled in detail (see DESIGN.md); the software part of
 // the platform (fault scheduler, IO generator with checksummed data
-// packets, blktrace/btt-based analyzer, and the data-failure / FWA /
-// IO-error taxonomy) is implemented as published.
+// packets, an analyzer applying btt's per-IO completion rule, and the
+// data-failure / FWA / IO-error taxonomy) is implemented as published;
+// blktrace-style block traces are recorded for traced runs.
 //
 // Above the single-rig platform sits the fleet layer (Options.Fleet): a
 // fault-domain tree of rooms, racks, enclosures and PSUs carrying hundreds
