@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	sweep -set all -scale 0.2        # every figure at 20% of paper-size
-//	sweep -set fig7 -scale 1         # Fig. 7 at full scale
-//	sweep -set fig5 -parallel 8      # fan out over 8 workers
-//	sweep -set fig5 -json            # emit the CampaignResult as JSON
-//	sweep -set fig4                  # PSU discharge curves (no faults)
-//	sweep -set tablei                # Table I inventory + per-drive runs
+//	sweep -figure all -scale 0.2     # every figure at 20% of paper-size
+//	sweep -figure fig7 -scale 1      # Fig. 7 at full scale
+//	sweep -figure fig5 -parallel 8   # fan out over 8 workers
+//	sweep -figure fig5 -json         # emit the CampaignResult as JSON
+//	sweep -figure fig4               # PSU discharge curves (no faults)
+//	sweep -figure tablei             # Table I inventory + per-drive runs
 //
 // Per-item reports depend only on each item's seed, never on -parallel:
 // -parallel 8 produces the same tables as -parallel 1, just sooner.
@@ -19,8 +19,7 @@
 //
 // Figure ids: tablei fig4 window fig5 fig6 seqrand fig7 fig8 fig9 ablation
 // array erasure cache txn txn-streams trace fleet all; `sweep -list`
-// enumerates them with titles and item counts. -figure is an alias for
-// -set:
+// enumerates them with titles and item counts:
 //
 //	sweep -list                             # discover the registered figures
 //	sweep -figure array -parallel 4 -json   # RAID-0/1/5 under correlated faults
@@ -95,8 +94,7 @@ import (
 )
 
 func main() {
-	set := flag.String("set", "all", "figure id to regenerate (or 'all')")
-	flag.StringVar(set, "figure", "all", "alias for -set")
+	figure := flag.String("figure", "all", "figure id to regenerate (or 'all')")
 	scale := flag.Float64("scale", 0.2, "fraction of the paper's fault counts")
 	parallel := flag.Int("parallel", 1, "worker pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the CampaignResult as JSON instead of markdown")
@@ -155,21 +153,21 @@ func main() {
 	}
 
 	if *traceFile != "" {
-		// A trace run replaces the figure catalog; an explicit -set/-figure
+		// A trace run replaces the figure catalog; an explicit -figure
 		// alongside it would be silently discarded, so refuse the mix.
-		explicitSet := false
+		explicitFigure := false
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "set" || f.Name == "figure" {
-				explicitSet = true
+			if f.Name == "figure" {
+				explicitFigure = true
 			}
 		})
-		if explicitSet {
-			fmt.Fprintln(os.Stderr, "sweep: -trace replaces the figure catalog; drop -set/-figure")
+		if explicitFigure {
+			fmt.Fprintln(os.Stderr, "sweep: -trace replaces the figure catalog; drop -figure")
 			os.Exit(2)
 		}
 	}
 
-	if *set == "fig4" {
+	if *figure == "fig4" {
 		if *jsonOut {
 			fmt.Fprintln(os.Stderr, "sweep: -json is not available for fig4 (discharge curves run no campaign)")
 			os.Exit(2)
@@ -188,15 +186,15 @@ func main() {
 		items = powerfail.TraceItemsFor(tr, *scale)
 	} else {
 		if !*jsonOut {
-			if *set == "tablei" || *set == "all" {
+			if *figure == "tablei" || *figure == "all" {
 				printTableI()
 			}
-			if *set == "all" {
+			if *figure == "all" {
 				printFig4()
 			}
 		}
 		var err error
-		items, err = powerfail.ItemsFor(*set, *scale)
+		items, err = powerfail.ItemsFor(*figure, *scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -311,7 +309,7 @@ func main() {
 		}
 	}
 	if *journal != "" {
-		figID := *set
+		figID := *figure
 		if *traceFile != "" {
 			figID = "trace"
 		}

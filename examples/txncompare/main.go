@@ -56,8 +56,8 @@ func main() {
 		cfg := powerfail.DefaultTxnConfig()
 		cfg.Barrier = bar.b
 		points = append(points,
-			point{bar.tag + " / SSD", powerfail.Options{Seed: 7, Profile: ssdProf, App: powerfail.TxnApp(cfg)}},
-			point{bar.tag + " / HDD", powerfail.Options{Seed: 7, Topology: hddTopo, App: powerfail.TxnApp(cfg)}},
+			point{bar.tag + " / SSD", powerfail.Options{Seed: 7, Profile: ssdProf, Txn: &cfg}},
+			point{bar.tag + " / HDD", powerfail.Options{Seed: 7, Topology: hddTopo, Txn: &cfg}},
 		)
 	}
 

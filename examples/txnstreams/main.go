@@ -25,7 +25,7 @@ func run(name string, streams int, opts powerfail.Options) *powerfail.Report {
 	cfg := powerfail.DefaultTxnConfig()
 	cfg.Streams = streams
 	cfg.Barrier = powerfail.NoFlushBarrier
-	opts.App = powerfail.TxnApp(cfg)
+	opts.Txn = &cfg
 	opts.Concurrency = streams
 	rep, err := powerfail.Run(opts, powerfail.Experiment{
 		Name:             name,

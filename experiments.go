@@ -1,7 +1,6 @@
 package powerfail
 
 import (
-	"context"
 	"embed"
 	"encoding/json"
 	"fmt"
@@ -51,14 +50,6 @@ type CatalogResult struct {
 	// resume archive; MarshalJSON re-emits it verbatim so a resumed
 	// campaign's output is byte-identical to an uninterrupted run.
 	raw json.RawMessage
-}
-
-// RunCatalog executes items sequentially, invoking progress (if non-nil)
-// after each. It is a compatibility wrapper over NewCampaign; new code
-// should build a Campaign directly for parallelism and cancellation.
-func RunCatalog(items []CatalogItem, progress func(CatalogResult)) []CatalogResult {
-	out, _ := NewCampaign(items, WithProgress(progress)).Run(context.Background())
-	return out.Results
 }
 
 func scaled(n int, scale float64) int {
@@ -650,7 +641,7 @@ func TxnItems(scale float64) []CatalogItem {
 				// mechanical comparator between early cuts.
 				cfg.GroupEvery = 4
 				opts := topo.opts(1500 + uint64(i))
-				opts.App = TxnApp(cfg)
+				opts.Txn = &cfg
 				label := fmt.Sprintf("%s/%s/%s", bar.tag, topo.tag, tm.tag)
 				items = append(items, CatalogItem{
 					Figure: "txn",
@@ -717,7 +708,7 @@ func TxnStreamItems(scale float64) []CatalogItem {
 				// early cuts even on the slower composite topologies.
 				cfg.GroupEvery = 4
 				opts := topo.opts(1700 + uint64(i))
-				opts.App = TxnApp(cfg)
+				opts.Txn = &cfg
 				opts.Concurrency = n
 				label := fmt.Sprintf("s%d/%s/%s", n, bar.tag, topo.tag)
 				items = append(items, CatalogItem{

@@ -103,9 +103,6 @@ type Config struct {
 	// data-member count. Per-member failure attribution (MemberReport)
 	// makes the weakest member's contribution measurable.
 	Members []ssd.Profile
-	// StripePages is the striped levels' chunk size in 4 KiB pages
-	// (default 16, a 64 KiB chunk).
-	StripePages int
 	// Parity is the parity-shard count per stripe for the erasure-coded
 	// levels: fixed at 1 for RAID5 and 2 for RAID6; for RS any value with
 	// at least two data members left (default 2). Ignored elsewhere.
@@ -116,16 +113,19 @@ type Config struct {
 	Cache   ssd.Profile
 	Backing hdd.Profile
 	Policy  CachePolicy
-	// DestageTick paces the write-back destage scan (default 20 ms).
-	DestageTick sim.Duration
-	// DestageBatchPages bounds lines destaged per tick (default 64).
-	DestageBatchPages int
 }
 
+const (
+	// stripePages is the striped levels' chunk size in 4 KiB pages (a
+	// 64 KiB chunk).
+	stripePages = 16
+	// destagePeriod paces the write-back destage scan.
+	destagePeriod = 20 * sim.Millisecond
+	// destageBatchPages bounds lines destaged per tick.
+	destageBatchPages = 64
+)
+
 func (c Config) withDefaults() Config {
-	if c.StripePages == 0 {
-		c.StripePages = 16
-	}
 	switch c.Level {
 	case RAID5:
 		c.Parity = 1
@@ -145,21 +145,12 @@ func (c Config) withDefaults() Config {
 		if c.Backing.Name == "" {
 			c.Backing = hdd.DefaultProfile()
 		}
-		if c.DestageTick == 0 {
-			c.DestageTick = 20 * sim.Millisecond
-		}
-		if c.DestageBatchPages == 0 {
-			c.DestageBatchPages = 64
-		}
 	}
 	return c
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.StripePages <= 0 {
-		return fmt.Errorf("array: StripePages must be positive, got %d", c.StripePages)
-	}
 	switch c.Level {
 	case RAID0:
 		if len(c.Members) < 2 {
@@ -322,7 +313,7 @@ func New(k *sim.Kernel, r *sim.RNG, cfg Config, psu *power.PSU) (*Array, error) 
 				minPages = dev.UserPages()
 			}
 		}
-		sp := int64(cfg.StripePages)
+		sp := int64(stripePages)
 		n := int64(len(a.members))
 		switch cfg.Level {
 		case RAID0:
@@ -669,7 +660,7 @@ func (a *Array) slotOf(p0, m int) int {
 // chunksOf splits [lpn, lpn+pages) into per-member chunk ranges for the
 // striped levels (RAID-0 and the parity levels).
 func (a *Array) chunksOf(lpn addr.LPN, pages int) []chunkRange {
-	sp := int64(a.cfg.StripePages)
+	sp := int64(stripePages)
 	n := int64(len(a.members))
 	var out []chunkRange
 	for off := 0; off < pages; {

@@ -99,7 +99,7 @@ func TestGeometryRAID0(t *testing.T) {
 	if got := r.arr.UserPages(); got != 3*member {
 		t.Fatalf("raid0 capacity %d, want %d", got, 3*member)
 	}
-	sp := r.arr.Config().StripePages
+	sp := stripePages
 	// Consecutive chunks land on consecutive members, same row.
 	crs := r.arr.chunksOf(0, 3*sp)
 	if len(crs) != 3 {
@@ -120,7 +120,7 @@ func TestGeometryRAID0(t *testing.T) {
 func TestGeometryRAID5(t *testing.T) {
 	r := newRig(t, raidConfig(RAID5, 4))
 	member := r.arr.Drive(0).UserPages()
-	sp := int64(r.arr.Config().StripePages)
+	sp := int64(stripePages)
 	if got := r.arr.UserPages(); got != 3*(member/sp)*sp {
 		t.Fatalf("raid5 capacity %d, want %d", got, 3*(member/sp)*sp)
 	}
@@ -187,7 +187,7 @@ func TestRAID1RoundTripAndRotation(t *testing.T) {
 
 func TestRAID5RoundTripAndParity(t *testing.T) {
 	r := newRig(t, raidConfig(RAID5, 3))
-	sp := r.arr.Config().StripePages
+	sp := stripePages
 	payload := content.Random(sim.NewRNG(3), 2*sp) // two chunks, one stripe
 	if err := r.write(t, 0, payload); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestArrayFaultRecovery(t *testing.T) {
 
 func TestAttribute(t *testing.T) {
 	r := newRig(t, raidConfig(RAID5, 3))
-	sp := r.arr.Config().StripePages
+	sp := stripePages
 	got := r.arr.Attribute(0, 1)
 	if len(got) != 2 {
 		t.Fatalf("raid5 attribution %v, want data+parity", got)

@@ -308,7 +308,7 @@ func (a *Array) scheduleDestage() {
 	if a.destaging.Pending() || a.dirtyHead == nil {
 		return
 	}
-	a.destaging = a.k.After(a.cfg.DestageTick, a.destageTick)
+	a.destaging = a.k.After(destagePeriod, a.destageTick)
 }
 
 func (a *Array) destageTick() {
@@ -316,7 +316,7 @@ func (a *Array) destageTick() {
 	// With a member down the copies can only fail; hold the dirty queue
 	// and let the tick idle until the array recovers.
 	if a.members[cacheIdx].Ready() && a.members[backingIdx].Ready() {
-		for n := 0; n < a.cfg.DestageBatchPages; n++ {
+		for n := 0; n < destageBatchPages; n++ {
 			ln := a.popDirty()
 			if ln == nil {
 				break

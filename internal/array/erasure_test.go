@@ -20,7 +20,7 @@ func rsConfig(n, parity int) Config {
 func TestCodedGeometry(t *testing.T) {
 	r := newRig(t, raidConfig(RAID6, 5))
 	member := r.arr.Drive(0).UserPages()
-	sp := int64(r.arr.Config().StripePages)
+	sp := int64(stripePages)
 	if got := r.arr.UserPages(); got != 3*(member/sp)*sp {
 		t.Fatalf("raid6x5 capacity %d, want %d", got, 3*(member/sp)*sp)
 	}
@@ -58,7 +58,7 @@ func TestCodedGeometry(t *testing.T) {
 func TestCodedRoundTripAndParity(t *testing.T) {
 	for _, cfg := range []Config{raidConfig(RAID6, 4), rsConfig(6, 3)} {
 		r := newRig(t, cfg)
-		sp := r.arr.Config().StripePages
+		sp := stripePages
 		kp := r.arr.parityCount()
 		payload := content.Random(sim.NewRNG(5), 2*sp)
 		if err := r.write(t, 0, payload); err != nil {
@@ -104,7 +104,7 @@ func TestCodedRoundTripAndParity(t *testing.T) {
 // members must reproduce the direct read, whichever member is missing.
 func TestCodedReconstructEveryChunk(t *testing.T) {
 	r := newRig(t, rsConfig(6, 3))
-	sp := r.arr.Config().StripePages
+	sp := stripePages
 	payload := content.Random(sim.NewRNG(6), 3*sp)
 	if err := r.write(t, 0, payload); err != nil {
 		t.Fatal(err)

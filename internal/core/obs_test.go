@@ -140,7 +140,7 @@ func TestObsTxnInstrumented(t *testing.T) {
 	opts := Options{
 		Seed:    31,
 		Profile: prof,
-		App:     AppConfig{Txn: &cfg},
+		Txn:     &cfg,
 		Obs:     &obs.Config{Metrics: true, Trace: true},
 	}
 	rep := runObs(t, opts, ExperimentSpec{
@@ -201,6 +201,9 @@ func TestObsFleetInstrumented(t *testing.T) {
 	if got, want := s.Counter("power/cuts"), int64(on.Fleet.Cuts); got != want {
 		t.Errorf("power/cuts = %d, want %d", got, want)
 	}
+	if got, want := s.Counter("power/restores"), int64(on.Fleet.Restores); got != want {
+		t.Errorf("power/restores = %d, want %d", got, want)
+	}
 	if s.Counter("fleet/slot_transitions") == 0 {
 		t.Error("no slot transitions recorded")
 	}
@@ -210,13 +213,19 @@ func TestObsFleetInstrumented(t *testing.T) {
 	if h := s.Histogram("fleet/rebuild_window_ns"); h.Count != uint64(on.Fleet.RebuildCompleted) {
 		t.Errorf("rebuild window histogram count = %d, want %d", h.Count, on.Fleet.RebuildCompleted)
 	}
-	var stateEvents int
+	var stateEvents, powerEvents int
 	for _, ev := range on.ObsTrace {
-		if ev.Kind == obs.KindState {
+		switch ev.Kind {
+		case obs.KindState:
 			stateEvents++
+		case obs.KindPower:
+			powerEvents++
 		}
 	}
 	if stateEvents == 0 {
 		t.Error("no rebuild state-transition trace events")
+	}
+	if want := on.Fleet.Cuts + on.Fleet.Restores; on.Fleet.Cuts == 0 || powerEvents != want {
+		t.Errorf("power trace events = %d, want one per cut and restore (%d)", powerEvents, want)
 	}
 }

@@ -15,20 +15,6 @@ import (
 	"powerfail/internal/txn"
 )
 
-// AppConfig selects the application layer that drives the platform instead
-// of the raw workload generator. The zero value runs no application: the
-// paper's plain IO generator issues the requests.
-type AppConfig struct {
-	// Txn, when non-nil, runs the write-ahead-log transaction engine on
-	// top of the device and the crash-consistency oracle after every
-	// fault. The experiment's Workload is ignored (the engine generates
-	// its own IO); open-loop pacing (Workload.IOPS) is not supported.
-	Txn *txn.Config
-}
-
-// Enabled reports whether any application layer is configured.
-func (a AppConfig) Enabled() bool { return a.Txn != nil }
-
 // TopologyKind selects what hangs behind the block layer.
 type TopologyKind int
 
@@ -78,13 +64,15 @@ type Options struct {
 	Profile ssd.Profile
 	// Topology selects the device side (single SSD by default).
 	Topology Topology
-	// App selects an optional application layer above the block device
-	// (transactional WAL engine + crash-consistency oracle).
-	App AppConfig
+	// Txn, when non-nil, runs the write-ahead-log transaction engine on
+	// top of the device and the crash-consistency oracle after every
+	// fault. The experiment's Workload is ignored (the engine generates
+	// its own IO); open-loop pacing (Workload.IOPS) is not supported.
+	Txn *txn.Config
 	// Fleet, when non-nil, replaces the single-device platform with a
 	// datacenter fleet: a fault-domain tree of rooms, racks, enclosures and
 	// PSUs with N redundancy groups, standby spares and rebuild state
-	// machines on top. Profile/Topology/App/Workload are ignored; the fleet
+	// machines on top. Profile/Topology/Txn/Workload are ignored; the fleet
 	// generates its own foreground IO and fault plan.
 	Fleet *fleet.Config
 	// Host overrides the block-layer configuration.
@@ -97,14 +85,6 @@ type Options struct {
 	// verification/recovery reads stay in flight at once, so values above
 	// 1 shorten fault cycles on multi-channel devices.
 	Concurrency int
-	// ThinkTime separates a completion from the next closed-loop issue.
-	ThinkTime sim.Duration
-	// SettleAfterOff holds the rail at the floor before restoring power.
-	SettleAfterOff sim.Duration
-	// OffFloorVolts is the rail voltage treated as fully discharged.
-	OffFloorVolts float64
-	// RecheckWindow bounds re-verification of already verified packets.
-	RecheckWindow sim.Duration
 	// Obs enables the observability layer (sim-time metrics registry and
 	// typed trace events) for this run. Nil — the default — disables it
 	// entirely: reports are byte-identical to builds without the layer,
@@ -128,20 +108,20 @@ func (o Options) withDefaults() Options {
 	if o.Concurrency == 0 {
 		o.Concurrency = 1
 	}
-	if o.ThinkTime == 0 {
-		o.ThinkTime = 300 * sim.Microsecond
-	}
-	if o.SettleAfterOff == 0 {
-		o.SettleAfterOff = 150 * sim.Millisecond
-	}
-	if o.OffFloorVolts == 0 {
-		o.OffFloorVolts = 0.25
-	}
-	if o.RecheckWindow == 0 {
-		o.RecheckWindow = 2 * sim.Second
-	}
 	return o
 }
+
+// The rig's fixed timing, as in the paper's IO generator and analyzer.
+const (
+	// thinkTime separates a completion from the next closed-loop issue.
+	thinkTime = 300 * sim.Microsecond
+	// settleAfterOff holds the rail at the floor before restoring power.
+	settleAfterOff = 150 * sim.Millisecond
+	// offFloorVolts is the rail voltage treated as fully discharged.
+	offFloorVolts = 0.25
+	// recheckWindow bounds re-verification of already verified packets.
+	recheckWindow = 2 * sim.Second
+)
 
 // Platform wires the hardware part (PSU, ATX, Arduino) to the device under
 // test and the software part (scheduler, IO generator, analyzer) exactly
@@ -169,6 +149,9 @@ type Platform struct {
 // NewPlatform builds and wires a complete test platform.
 func NewPlatform(opts Options) (*Platform, error) {
 	opts = opts.withDefaults()
+	if opts.Concurrency < 1 {
+		return nil, fmt.Errorf("core: Concurrency must be >= 1, got %d", opts.Concurrency)
+	}
 	k := sim.New()
 	root := sim.NewRNG(opts.Seed)
 
@@ -235,15 +218,13 @@ func (p *Platform) ObsScope(comp string) obs.Scope { return p.Obs.Scope(comp) }
 
 // FaultScheduler is the paper's Scheduler component: it decides fault
 // instants and sends On/Off commands to the microcontroller. Since the
-// fleet layer arrived it is built over a fault-domain tree and the shared
-// fleet.Schedule bookkeeping: the classic platform is the degenerate
-// one-node tree whose root transitions drive the Arduino, so Cuts/Restores
-// semantics are unchanged while multi-domain scheduling reuses the same
-// accounting instead of duplicating it.
+// fleet layer arrived it is built over a fault-domain tree: the classic
+// platform is the degenerate one-node tree whose root transitions drive
+// the Arduino, and the tree counts and observes its own cuts, so
+// Cuts/Restores semantics are unchanged while multi-domain scheduling
+// reuses the same accounting instead of duplicating it.
 type FaultScheduler struct {
-	tree  *fleet.Tree
-	sched *fleet.Schedule
-	root  int // schedule id of the tree root
+	tree *fleet.Tree
 }
 
 // NewFaultScheduler wires a scheduler to the Arduino through the degenerate
@@ -266,29 +247,24 @@ func NewFaultSchedulerOverTree(_ *sim.Kernel, ard *power.Arduino, tree *fleet.Tr
 			panic(err)
 		}
 	})
-	s := &FaultScheduler{tree: tree, sched: fleet.NewSchedule()}
-	s.root = s.sched.Add(tree.Root())
-	return s
+	return &FaultScheduler{tree: tree}
 }
 
-// Tree returns the fault-domain tree the scheduler targets.
-func (s *FaultScheduler) Tree() *fleet.Tree { return s.tree }
-
 // Cut commands the hardware to drop PS_ON#, starting the PSU discharge.
-func (s *FaultScheduler) Cut() { s.sched.Cut(s.root) }
+func (s *FaultScheduler) Cut() { s.tree.CutNode(s.tree.Root()) }
 
 // Restore commands the hardware to re-assert PS_ON#.
-func (s *FaultScheduler) Restore() { s.sched.Restore(s.root) }
+func (s *FaultScheduler) Restore() { s.tree.RestoreNode(s.tree.Root()) }
 
 // Cuts returns the number of Cut commands sent.
-func (s *FaultScheduler) Cuts() int { return s.sched.Cuts() }
+func (s *FaultScheduler) Cuts() int { return s.tree.Cuts() }
 
 // Restores returns the number of Restore commands sent.
-func (s *FaultScheduler) Restores() int { return s.sched.Restores() }
+func (s *FaultScheduler) Restores() int { return s.tree.Restores() }
 
 // Instrument records every cut/restore command into sc as KindPower
 // trace events plus counters, stamped on k's clock. A disabled scope is
 // a no-op.
 func (s *FaultScheduler) Instrument(sc obs.Scope, k *sim.Kernel) {
-	s.sched.Observe(sc, func() sim.Time { return k.Now() })
+	s.tree.Observe(sc, func() sim.Time { return k.Now() })
 }

@@ -67,7 +67,7 @@ type Report struct {
 	// TxnStats is set when the transactional application layer ran: the
 	// oracle's per-class verdict counts (intact / lost-commit / torn /
 	// out-of-order), the oldest lost commit sequence, and the recovery
-	// scan lengths, under the engine's primary recovery policy.
+	// scan lengths, under the hole-tolerant recovery policy.
 	// TxnPolicies is the recovery-policy ablation — the same faults
 	// judged under every policy on identical observations, indexed by
 	// txn.RecoveryPolicy (hole-tolerant, strict-scan). TxnPerFault is the

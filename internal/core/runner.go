@@ -76,9 +76,9 @@ type Runner struct {
 
 // NewRunner prepares an experiment on the platform.
 func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
-	kind := spec.sourceKind(p.Opts.App.Enabled())
-	if p.Opts.App.Enabled() && kind != SourceTxn {
-		return nil, fmt.Errorf("core: Options.App is configured but the spec selects the %q source", kind)
+	kind := spec.sourceKind(p.Opts.Txn != nil)
+	if p.Opts.Txn != nil && kind != SourceTxn {
+		return nil, fmt.Errorf("core: Options.Txn is configured but the spec selects the %q source", kind)
 	}
 	if err := spec.validate(kind); err != nil {
 		return nil, err
@@ -89,7 +89,7 @@ func NewRunner(p *Platform, spec ExperimentSpec) (*Runner, error) {
 	r := &Runner{
 		p:        p,
 		spec:     spec,
-		analyzer: NewAnalyzer(p.K, p.Opts.RecheckWindow),
+		analyzer: NewAnalyzer(p.K, recheckWindow),
 		rng:      p.RNG.Fork("runner"),
 	}
 	src, err := newSource(kind, p, spec)
@@ -140,7 +140,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 
 	// Hardware hooks: discharge-floor watch drives the restore, device
 	// readiness drives verification.
-	r.p.PSU.NotifyBelow(r.p.Opts.OffFloorVolts, r.onRailFloor)
+	r.p.PSU.NotifyBelow(offFloorVolts, r.onRailFloor)
 	r.p.Dev.NotifyReady(r.onDeviceReady)
 
 	deadline := k.Now().Add(r.spec.MaxSimTime)
@@ -323,7 +323,7 @@ func (r *Runner) reissueAfterThink() {
 	if r.src.OpenLoop() {
 		return // open loop: arrivals are self-scheduled
 	}
-	r.p.K.After(r.p.Opts.ThinkTime, func() {
+	r.p.K.After(thinkTime, func() {
 		if (r.ph == phaseRun || r.ph == phaseArming || r.ph == phaseFaulting) &&
 			r.outstanding < r.p.Opts.Concurrency {
 			if !r.issueOne() {
@@ -373,7 +373,7 @@ func (r *Runner) onRailFloor() {
 	if r.ph != phaseFaulting {
 		return
 	}
-	r.p.K.After(r.p.Opts.SettleAfterOff, func() {
+	r.p.K.After(settleAfterOff, func() {
 		if r.ph != phaseFaulting {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"powerfail/internal/power"
 	"powerfail/internal/sim"
 	"powerfail/internal/ssd"
 	"powerfail/internal/workload"
@@ -207,6 +208,27 @@ func TestSpecValidation(t *testing.T) {
 		if s.Validate() == nil {
 			t.Errorf("spec %d accepted", i)
 		}
+	}
+}
+
+// TestPlatformOptionValidation: options that would leave a run idling to
+// MaxSimTime with no fault injected fail at construction instead.
+func TestPlatformOptionValidation(t *testing.T) {
+	noRise := smallOpts(1)
+	noRise.PSU = power.Config{VNominal: 5, Capacitance: 0.02, BleedOhms: 27.7}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"zero PSU rise time", noRise},
+		{"negative concurrency", Options{Seed: 1, Concurrency: -1}},
+	} {
+		if _, err := NewPlatform(c.opts); err == nil {
+			t.Errorf("%s: NewPlatform accepted the options", c.name)
+		}
+	}
+	if _, err := NewPlatform(smallOpts(1)); err != nil {
+		t.Errorf("default options rejected: %v", err)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // SourceKind selects the runner's IO source. The zero value infers the
 // source from the rest of the configuration (trace replay when the spec
-// carries a trace, the transaction engine when Options.App is enabled,
+// carries a trace, the transaction engine when Options.Txn is set,
 // the synthetic generator otherwise), which keeps every pre-existing
 // Options/spec combination working unchanged.
 type SourceKind int
@@ -249,10 +249,10 @@ func newSource(kind SourceKind, p *Platform, spec ExperimentSpec) (Source, error
 		}
 		return &workloadSource{gen: gen}, nil
 	case SourceTxn:
-		if !p.Opts.App.Enabled() {
-			return nil, fmt.Errorf("core: source %q needs Options.App configured", kind)
+		if p.Opts.Txn == nil {
+			return nil, fmt.Errorf("core: source %q needs Options.Txn configured", kind)
 		}
-		eng, err := txn.NewEngine(*p.Opts.App.Txn, p.K, p.RNG.Fork("txn"), p.Dev.UserPages())
+		eng, err := txn.NewEngine(*p.Opts.Txn, p.K, p.RNG.Fork("txn"), p.Dev.UserPages())
 		if err != nil {
 			return nil, err
 		}

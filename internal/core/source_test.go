@@ -127,12 +127,12 @@ func TestSourceSelection(t *testing.T) {
 	txnSpec := cycle
 	txnSpec.Source = SourceTxn
 	if _, err := NewRunner(p, txnSpec); err == nil {
-		t.Error("SourceTxn accepted without Options.App")
+		t.Error("SourceTxn accepted without Options.Txn")
 	}
 
 	// A trace spec on a txn platform: contradictory.
 	appOpts := smallOpts(65)
-	appOpts.App = AppConfig{Txn: &tc}
+	appOpts.Txn = &tc
 	p2, err := NewPlatform(appOpts)
 	if err != nil {
 		t.Fatal(err)

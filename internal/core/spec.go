@@ -13,7 +13,7 @@ type ExperimentSpec struct {
 	Name string `json:"name"`
 	// Source selects the runner's IO source explicitly. The zero value
 	// (SourceAuto) infers it: trace replay when Trace is set, the
-	// transaction engine when the platform's Options.App is enabled, the
+	// transaction engine when the platform's Options.Txn is set, the
 	// synthetic Workload generator otherwise.
 	Source   SourceKind    `json:"source,omitempty"`
 	Workload workload.Spec `json:"workload"`
@@ -39,16 +39,16 @@ type ExperimentSpec struct {
 // options and validates again).
 func (s ExperimentSpec) Validate() error { return s.validate(s.sourceKind(false)) }
 
-// sourceKind resolves the spec's effective source; app reports whether
-// the platform has an application layer configured.
-func (s ExperimentSpec) sourceKind(app bool) SourceKind {
+// sourceKind resolves the spec's effective source; txn reports whether
+// the platform has the transaction engine configured.
+func (s ExperimentSpec) sourceKind(txn bool) SourceKind {
 	if s.Source != SourceAuto {
 		return s.Source
 	}
 	if s.Trace != nil {
 		return SourceTrace
 	}
-	if app {
+	if txn {
 		return SourceTxn
 	}
 	return SourceWorkload

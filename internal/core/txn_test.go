@@ -12,7 +12,7 @@ import (
 func txnOpts(seed uint64, barrier txn.Barrier) Options {
 	cfg := txn.DefaultConfig()
 	cfg.Barrier = barrier
-	return Options{Seed: seed, Profile: memberProfile(), App: AppConfig{Txn: &cfg}}
+	return Options{Seed: seed, Profile: memberProfile(), Txn: &cfg}
 }
 
 func txnSpec(name string, faults int) ExperimentSpec {
@@ -99,7 +99,7 @@ func TestTxnOnHDDNoFlushStillDurable(t *testing.T) {
 	opts := Options{
 		Seed:     73,
 		Topology: Topology{Kind: TopoHDD},
-		App:      AppConfig{Txn: &cfg},
+		Txn:      &cfg,
 	}
 	rep := runSmall(t, opts, txnSpec("txn-hdd", 4))
 	s := rep.TxnStats
@@ -134,7 +134,7 @@ func TestTxnGroupCommitRuns(t *testing.T) {
 func TestTxnCheckpointTruncates(t *testing.T) {
 	cfg := txn.DefaultConfig()
 	cfg.CheckpointEvery = 4
-	opts := Options{Seed: 76, Profile: memberProfile(), App: AppConfig{Txn: &cfg}}
+	opts := Options{Seed: 76, Profile: memberProfile(), Txn: &cfg}
 	spec := ExperimentSpec{Name: "txn-ckpt", Faults: 4, RequestsPerFault: 60}
 	rep := runSmall(t, opts, spec)
 	s := rep.TxnStats
@@ -175,7 +175,7 @@ func TestTxnMultiStreamRuns(t *testing.T) {
 	cfg := txn.DefaultConfig()
 	cfg.Streams = 4
 	cfg.Barrier = txn.NoFlush
-	opts := Options{Seed: 78, Profile: memberProfile(), App: AppConfig{Txn: &cfg}, Concurrency: 4}
+	opts := Options{Seed: 78, Profile: memberProfile(), Txn: &cfg, Concurrency: 4}
 	rep := runSmall(t, opts, txnSpec("txn-streams", 6))
 	s := rep.TxnStats
 	if s == nil || s.Committed == 0 || s.Evaluated == 0 {
@@ -220,7 +220,7 @@ func TestTxnStreamsDefaultEqualsOne(t *testing.T) {
 		cfg := txn.DefaultConfig()
 		cfg.Streams = streams
 		cfg.Barrier = txn.NoFlush
-		opts := Options{Seed: 79, Profile: memberProfile(), App: AppConfig{Txn: &cfg}}
+		opts := Options{Seed: 79, Profile: memberProfile(), Txn: &cfg}
 		rep := runSmall(t, opts, txnSpec("txn-one", 5))
 		b, err := json.Marshal(rep)
 		if err != nil {
@@ -240,7 +240,7 @@ func TestTxnStreamsDefaultEqualsOne(t *testing.T) {
 func TestTxnMultiStreamFlushStillLossless(t *testing.T) {
 	cfg := txn.DefaultConfig()
 	cfg.Streams = 8
-	opts := Options{Seed: 81, Profile: memberProfile(), App: AppConfig{Txn: &cfg}, Concurrency: 8}
+	opts := Options{Seed: 81, Profile: memberProfile(), Txn: &cfg, Concurrency: 8}
 	rep := runSmall(t, opts, txnSpec("txn-streams-flush", 5))
 	s := rep.TxnStats
 	if s == nil || s.Evaluated == 0 {
@@ -251,26 +251,5 @@ func TestTxnMultiStreamFlushStillLossless(t *testing.T) {
 	}
 	if strict := rep.TxnPolicy(txn.StrictScan); strict.Losses() != 0 {
 		t.Fatalf("strict scan lost %d transactions under flush-per-commit: %s", strict.Losses(), strict)
-	}
-}
-
-// TestTxnStrictPrimaryPolicy: Options can select strict-scan as the
-// primary policy; TxnStats then mirrors the strict ablation row while
-// the hole-tolerant row stays available.
-func TestTxnStrictPrimaryPolicy(t *testing.T) {
-	cfg := txn.DefaultConfig()
-	cfg.Barrier = txn.NoFlush
-	cfg.Policy = txn.StrictScan
-	opts := Options{Seed: 82, Profile: memberProfile(), App: AppConfig{Txn: &cfg}}
-	rep := runSmall(t, opts, txnSpec("txn-strict", 5))
-	s := rep.TxnStats
-	if s == nil || s.Policy != txn.StrictScan {
-		t.Fatalf("primary policy not honoured: %+v", s)
-	}
-	if *s != rep.TxnPolicy(txn.StrictScan) {
-		t.Fatalf("primary stats do not mirror the strict row")
-	}
-	if ht := rep.TxnPolicy(txn.HoleTolerant); ht.Policy != txn.HoleTolerant || ht.Committed != s.Committed {
-		t.Fatalf("hole-tolerant row lost: %+v", ht)
 	}
 }

@@ -21,6 +21,9 @@ package fleet
 
 import (
 	"fmt"
+
+	"powerfail/internal/obs"
+	"powerfail/internal/sim"
 )
 
 // Level is a fault-domain tier, ordered from the widest blast radius
@@ -98,7 +101,6 @@ func (c DomainConfig) Validate() error {
 // Node is one fault domain. Its power state is derived: a node is powered
 // iff neither it nor any ancestor is cut.
 type Node struct {
-	tree     *Tree
 	level    Level
 	index    int // index within the level, in construction order
 	name     string
@@ -133,13 +135,6 @@ func (n *Node) Powered() bool { return n.powered }
 // changes; fn receives the new state. Drives attach here to their PSU leaf.
 func (n *Node) OnPower(fn func(on bool)) { n.onPower = append(n.onPower, fn) }
 
-// Cut implements Target: it cuts power to this node's whole subtree.
-func (n *Node) Cut() { n.tree.CutNode(n) }
-
-// Restore implements Target: it ends this node's cut. Descendant drives
-// regain power unless a separate cut still covers them.
-func (n *Node) Restore() { n.tree.RestoreNode(n) }
-
 // refresh recomputes the derived power state after a cut or restore and
 // fires transition callbacks top-down, so an enclosure's listeners see the
 // outage before the drives beneath it do.
@@ -158,13 +153,19 @@ func (n *Node) refresh() {
 }
 
 // Tree is the fault-domain hierarchy. It also keeps the per-level cut and
-// restore counts the fleet report surfaces.
+// restore counts the fleet report surfaces, and the totals the classic
+// platform's Report.Cuts/Restores expose.
 type Tree struct {
 	root   *Node
 	levels [numLevels][]*Node
 
 	cuts     [numLevels]int
 	restores [numLevels]int
+
+	obsSc   obs.Scope
+	obsCuts *obs.Counter
+	obsRest *obs.Counter
+	now     func() sim.Time
 }
 
 // NewTree builds the room → rack → enclosure → PSU hierarchy described by
@@ -197,7 +198,7 @@ func Degenerate(name string) *Tree {
 }
 
 func (t *Tree) newNode(l Level, parent *Node, name string) *Node {
-	n := &Node{tree: t, level: l, index: len(t.levels[l]), name: name, parent: parent, powered: true}
+	n := &Node{level: l, index: len(t.levels[l]), name: name, parent: parent, powered: true}
 	if parent != nil {
 		parent.children = append(parent.children, n)
 	}
@@ -220,10 +221,29 @@ func (t *Tree) Nodes(l Level) []*Node {
 // Leaves returns the PSU nodes drives attach to.
 func (t *Tree) Leaves() []*Node { return t.levels[PSU] }
 
+// Observe records every cut/restore command into sc: the cuts and
+// restores counters plus one KindPower trace event per command, named
+// after the targeted node and stamped before the command propagates. The
+// clock comes from now because the tree itself is kernel-agnostic. A
+// disabled scope is a no-op.
+func (t *Tree) Observe(sc obs.Scope, now func() sim.Time) {
+	if !sc.Enabled() {
+		return
+	}
+	t.obsSc = sc
+	t.obsCuts = sc.Counter("cuts")
+	t.obsRest = sc.Counter("restores")
+	t.now = now
+}
+
 // CutNode powers off n's subtree and counts the cut at n's level. Cuts on
 // the same node nest: the subtree stays dark until every cut is restored.
 func (t *Tree) CutNode(n *Node) {
 	t.cuts[n.level]++
+	t.obsCuts.Inc()
+	if t.now != nil {
+		t.obsSc.Instant(t.now(), obs.KindPower, n.name, 1)
+	}
 	n.cut++
 	if n.cut == 1 {
 		n.refresh()
@@ -233,6 +253,10 @@ func (t *Tree) CutNode(n *Node) {
 // RestoreNode ends one cut targeted at n and counts the restore.
 func (t *Tree) RestoreNode(n *Node) {
 	t.restores[n.level]++
+	t.obsRest.Inc()
+	if t.now != nil {
+		t.obsSc.Instant(t.now(), obs.KindPower, n.name, 0)
+	}
 	if n.cut == 0 {
 		return
 	}
@@ -256,4 +280,18 @@ func (t *Tree) RestoresAt(l Level) int {
 		return 0
 	}
 	return t.restores[l]
+}
+
+// Cuts returns the cut commands across every level.
+func (t *Tree) Cuts() int { return sum(t.cuts) }
+
+// Restores returns the restore commands across every level.
+func (t *Tree) Restores() int { return sum(t.restores) }
+
+func sum(counts [numLevels]int) int {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return n
 }

@@ -17,11 +17,6 @@ type RebuildPolicy struct {
 	// Delay is the grace window between a member going dark and declaring
 	// it failed; outages shorter than this are transient (default 2 s).
 	Delay sim.Duration `json:"delay_ns"`
-	// ChunkPages is the rebuild copy granularity (default 64 pages).
-	ChunkPages int `json:"chunk_pages"`
-	// BackupBandwidth paces inter-group restores from the backup tier, in
-	// bytes per second (default 50 MiB/s).
-	BackupBandwidth int64 `json:"backup_bandwidth"`
 	// ControllerTick is how often the controller retries spare allocation
 	// and stalled rebuilds (default 1 s).
 	ControllerTick sim.Duration `json:"controller_tick_ns"`
@@ -31,12 +26,6 @@ func (p RebuildPolicy) withDefaults() RebuildPolicy {
 	if p.Delay == 0 {
 		p.Delay = 2 * sim.Second
 	}
-	if p.ChunkPages == 0 {
-		p.ChunkPages = 64
-	}
-	if p.BackupBandwidth == 0 {
-		p.BackupBandwidth = 50 << 20
-	}
 	if p.ControllerTick == 0 {
 		p.ControllerTick = sim.Second
 	}
@@ -45,44 +34,27 @@ func (p RebuildPolicy) withDefaults() RebuildPolicy {
 
 // Validate checks the policy.
 func (p RebuildPolicy) Validate() error {
-	if p.Delay < 0 || p.ChunkPages < 1 || p.BackupBandwidth < 1 || p.ControllerTick <= 0 {
+	if p.Delay < 0 || p.ControllerTick <= 0 {
 		return fmt.Errorf("fleet: invalid rebuild policy: %+v", p)
 	}
 	return nil
 }
 
-// WorkloadConfig shapes the open-loop foreground traffic each group serves
-// while faults and rebuilds play out.
-type WorkloadConfig struct {
-	// MeanInterarrival is the exponential mean between requests per group
-	// (default 20 ms); negative disables foreground IO entirely.
-	MeanInterarrival sim.Duration `json:"mean_interarrival_ns"`
-	// IOPages is the request size (default 8 pages = 32 KiB).
-	IOPages int `json:"io_pages"`
-	// ReadFraction is the probability a request is a read (default 0.7).
-	ReadFraction float64 `json:"read_fraction"`
-}
-
-func (w WorkloadConfig) withDefaults() WorkloadConfig {
-	if w.MeanInterarrival == 0 {
-		w.MeanInterarrival = 20 * sim.Millisecond
-	}
-	if w.IOPages == 0 {
-		w.IOPages = 8
-	}
-	if w.ReadFraction == 0 {
-		w.ReadFraction = 0.7
-	}
-	return w
-}
-
-// Validate checks the workload shape.
-func (w WorkloadConfig) Validate() error {
-	if w.IOPages < 1 || w.ReadFraction < 0 || w.ReadFraction > 1 {
-		return fmt.Errorf("fleet: invalid workload config: %+v", w)
-	}
-	return nil
-}
+// The fleet's fixed calibration: rebuild pacing and the open-loop
+// foreground traffic each group serves while faults and rebuilds play out.
+const (
+	// rebuildChunkPages is the rebuild copy granularity.
+	rebuildChunkPages = 64
+	// backupBandwidth paces inter-group restores from the backup tier, in
+	// bytes per second (50 MiB/s).
+	backupBandwidth int64 = 50 << 20
+	// fgInterarrival is the exponential mean between requests per group.
+	fgInterarrival = 20 * sim.Millisecond
+	// fgIOPages is the foreground request size (32 KiB).
+	fgIOPages = 8
+	// fgReadFraction is the probability a foreground request is a read.
+	fgReadFraction = 0.7
+)
 
 // CutEvent is one scripted fault: at instant At, cut the Index-th node of
 // the given Level for Outage, then restore it.
@@ -95,7 +67,7 @@ type CutEvent struct {
 
 // FaultPlan describes where the fault scheduler draws cut targets from the
 // domain tree: either a fixed Script, or Count random cuts at one Level
-// with exponential spacing.
+// placed uniformly inside the horizon.
 type FaultPlan struct {
 	// Script, when non-empty, replaces the random plan entirely.
 	Script []CutEvent `json:"script,omitempty"`
@@ -104,11 +76,6 @@ type FaultPlan struct {
 	Level Level `json:"level"`
 	// Count is the number of random cuts (default 3).
 	Count int `json:"count"`
-	// MeanBetween selects the spacing model: zero (the default) draws the
-	// Count cut instants uniformly inside the horizon so every cut fires;
-	// a positive value spaces cuts exponentially with that mean rate, and
-	// cuts that land past the horizon are dropped.
-	MeanBetween sim.Duration `json:"mean_between_ns"`
 	// Outage is how long each random cut lasts (default 5 s).
 	Outage sim.Duration `json:"outage_ns"`
 }
@@ -139,15 +106,15 @@ func (p FaultPlan) Validate() error {
 	if len(p.Script) > 0 {
 		return nil
 	}
-	if p.Level < 0 || p.Level >= numLevels || p.Count < 0 || p.MeanBetween < 0 || p.Outage <= 0 {
+	if p.Level < 0 || p.Level >= numLevels || p.Count < 0 || p.Outage <= 0 {
 		return fmt.Errorf("fleet: invalid fault plan: %+v", p)
 	}
 	return nil
 }
 
 // Config describes a whole fleet experiment: the fault-domain tree, the
-// population of redundancy groups and spares on it, the rebuild policy,
-// the fault plan and the foreground workload.
+// population of redundancy groups and spares on it, the rebuild policy
+// and the fault plan.
 type Config struct {
 	// Domains sizes the fault-domain tree (default 2×2×2).
 	Domains DomainConfig `json:"domains"`
@@ -165,12 +132,8 @@ type Config struct {
 	Spares int `json:"spares"`
 	// Member is the drive service model.
 	Member MemberProfile `json:"member"`
-	// Host tunes each member's block layer (zero → blockdev defaults).
-	Host blockdev.Config `json:"-"`
 	// Rebuild is the controller policy.
 	Rebuild RebuildPolicy `json:"rebuild"`
-	// Workload is the foreground traffic shape.
-	Workload WorkloadConfig `json:"workload"`
 	// Faults is the fault plan over the tree.
 	Faults FaultPlan `json:"faults"`
 	// Duration is the simulated horizon (default 30 s).
@@ -197,11 +160,7 @@ func (c Config) WithDefaults() Config {
 		c.Parity = 1
 	}
 	c.Member = c.Member.withDefaults()
-	if c.Host == (blockdev.Config{}) {
-		c.Host = blockdev.DefaultConfig()
-	}
 	c.Rebuild = c.Rebuild.withDefaults()
-	c.Workload = c.Workload.withDefaults()
 	c.Faults = c.Faults.withDefaults()
 	if c.Duration == 0 {
 		c.Duration = 30 * sim.Second
@@ -229,13 +188,7 @@ func (c Config) Validate() error {
 	if err := c.Member.Validate(); err != nil {
 		return err
 	}
-	if err := c.Host.Validate(); err != nil {
-		return err
-	}
 	if err := c.Rebuild.Validate(); err != nil {
-		return err
-	}
-	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
 	if err := c.Faults.Validate(); err != nil {
@@ -244,8 +197,8 @@ func (c Config) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("fleet: duration must be positive, got %v", c.Duration)
 	}
-	if int64(c.Workload.IOPages) > c.Member.Pages {
-		return fmt.Errorf("fleet: io_pages %d exceeds member capacity %d pages", c.Workload.IOPages, c.Member.Pages)
+	if fgIOPages > c.Member.Pages {
+		return fmt.Errorf("fleet: %d-page foreground IOs exceed member capacity %d pages", fgIOPages, c.Member.Pages)
 	}
 	return nil
 }
@@ -334,9 +287,7 @@ type Sim struct {
 	wl  *sim.RNG // workload stream
 	fl  *sim.RNG // fault stream
 
-	tree     *Tree
-	sched    *Schedule
-	schedIdx map[*Node]int
+	tree *Tree
 
 	members []*Member
 	groups  []*Group
@@ -427,27 +378,20 @@ func NewSim(cfg Config, seed uint64) (*Sim, error) {
 	}
 	root := sim.NewRNG(seed)
 	f := &Sim{
-		cfg:      cfg,
-		k:        sim.New(),
-		wl:       root.Fork("fleet/workload"),
-		fl:       root.Fork("fleet/faults"),
-		tree:     tree,
-		sched:    NewSchedule(),
-		schedIdx: make(map[*Node]int),
-		assign:   make(map[*Member]*Slot),
-		end:      sim.Time(0).Add(cfg.Duration),
-	}
-	for _, l := range Levels() {
-		for _, n := range tree.Nodes(l) {
-			f.schedIdx[n] = f.sched.Add(n)
-		}
+		cfg:    cfg,
+		k:      sim.New(),
+		wl:     root.Fork("fleet/workload"),
+		fl:     root.Fork("fleet/faults"),
+		tree:   tree,
+		assign: make(map[*Member]*Slot),
+		end:    sim.Time(0).Add(cfg.Duration),
 	}
 
 	leaves := tree.Leaves()
 	perRack := cfg.Domains.EnclosuresPerRack * cfg.Domains.PSUsPerEnclosure
 	nextID := 0
 	newMemberOn := func(leaf *Node) (*Member, error) {
-		m, err := newMember(f.k, cfg.Member, nextID, leaf, cfg.Host)
+		m, err := newMember(f.k, cfg.Member, nextID, leaf)
 		if err != nil {
 			return nil, err
 		}
@@ -526,20 +470,17 @@ func (f *Sim) onMemberReady(m *Member) {
 }
 
 // scheduleFaults lays the fault plan onto the kernel: either the script
-// verbatim, or Count exponentially spaced cuts at the configured level with
-// uniformly drawn targets. Cut and restore commands go through the shared
-// Schedule so per-target and total accounting match the classic platform's.
+// verbatim, or Count cuts at the configured level with uniformly drawn
+// targets, placed uniformly inside the horizon with room for the outage to
+// play out so every cut fires. The tree counts each cut and restore.
 func (f *Sim) scheduleFaults() {
 	plan := f.cfg.Faults
 	fire := func(at sim.Time, level Level, index int, outage sim.Duration) {
 		nodes := f.tree.Nodes(level)
-		if len(nodes) == 0 {
-			return // degenerate trees lack the wider tiers
-		}
-		id := f.schedIdx[nodes[index%len(nodes)]]
+		n := nodes[index%len(nodes)]
 		f.k.At(at, func() {
-			f.sched.Cut(id)
-			f.k.After(outage, func() { f.sched.Restore(id) })
+			f.tree.CutNode(n)
+			f.k.After(outage, func() { f.tree.RestoreNode(n) })
 		})
 	}
 	if len(plan.Script) > 0 {
@@ -549,19 +490,6 @@ func (f *Sim) scheduleFaults() {
 		return
 	}
 	nodes := f.tree.Nodes(plan.Level)
-	if len(nodes) == 0 {
-		return
-	}
-	if plan.MeanBetween > 0 {
-		at := sim.Time(0)
-		for i := 0; i < plan.Count; i++ {
-			at = at.Add(sim.Duration(f.fl.ExpMean(float64(plan.MeanBetween))))
-			fire(at, plan.Level, f.fl.Intn(len(nodes)), plan.Outage)
-		}
-		return
-	}
-	// Default spacing: all Count cuts land inside the horizon, placed
-	// uniformly with room for the outage to play out.
 	span := f.cfg.Duration - plan.Outage
 	if span <= 0 {
 		span = f.cfg.Duration
@@ -590,9 +518,6 @@ func (f *Sim) scheduleController() {
 
 // startWorkload launches one open-loop arrival process per group.
 func (f *Sim) startWorkload() {
-	if f.cfg.Workload.MeanInterarrival < 0 {
-		return
-	}
 	for _, g := range f.groups {
 		f.scheduleArrival(g)
 	}
@@ -605,7 +530,7 @@ func (f *Sim) scheduleArrival(g *Group) {
 			f.scheduleArrival(g)
 		}
 	}
-	d := sim.Duration(f.wl.ExpMean(float64(f.cfg.Workload.MeanInterarrival)))
+	d := sim.Duration(f.wl.ExpMean(float64(fgInterarrival)))
 	f.k.After(d, g.arrive)
 }
 
@@ -613,16 +538,15 @@ func (f *Sim) scheduleArrival(g *Group) {
 // (or reconstruct from the survivors when that bay is out), writes hit the
 // data bay plus its parity peer. Requests against a down group fail.
 func (f *Sim) issueForeground(g *Group) {
-	w := f.cfg.Workload
 	f.stats.FgOps++
-	pages := w.IOPages
+	pages := fgIOPages
 	lpn := int64(0)
 	if max := f.cfg.Member.Pages - int64(pages); max > 0 {
 		lpn = f.wl.Int63n(max + 1)
 	}
 	si := f.wl.Intn(len(g.slots))
 	slot := g.slots[si]
-	isRead := f.wl.Prob(w.ReadFraction)
+	isRead := f.wl.Prob(fgReadFraction)
 	degraded := g.class != classUp
 	start := f.k.Now()
 
@@ -698,8 +622,8 @@ func (f *Sim) finalize() {
 	st.Duration = f.cfg.Duration
 	st.Events = f.k.Processed()
 
-	st.Cuts = f.sched.Cuts()
-	st.Restores = f.sched.Restores()
+	st.Cuts = f.tree.Cuts()
+	st.Restores = f.tree.Restores()
 	for _, l := range Levels() {
 		if c := f.tree.CutsAt(l); c > 0 {
 			if st.CutsByLevel == nil {

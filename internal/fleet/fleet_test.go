@@ -76,16 +76,43 @@ func TestTreeNestedCuts(t *testing.T) {
 	}
 }
 
-func TestScheduleAccounting(t *testing.T) {
+// TestTreeAccounting: the tree counts every cut and restore command at
+// the targeted node's level and in total, nested and no-op restores
+// included.
+func TestTreeAccounting(t *testing.T) {
 	tr := Degenerate("psu")
-	s := NewSchedule()
-	id := s.Add(tr.Root())
 	for i := 0; i < 3; i++ {
-		s.Cut(id)
-		s.Restore(id)
+		tr.CutNode(tr.Root())
+		tr.RestoreNode(tr.Root())
 	}
-	if s.Cuts() != 3 || s.Restores() != 3 || s.CutsOf(id) != 3 || s.RestoresOf(id) != 3 {
-		t.Fatalf("schedule counts: cuts=%d restores=%d", s.Cuts(), s.Restores())
+	if tr.Cuts() != 3 || tr.Restores() != 3 || tr.CutsAt(PSU) != 3 || tr.RestoresAt(PSU) != 3 {
+		t.Fatalf("degenerate counts: cuts=%d restores=%d", tr.Cuts(), tr.Restores())
+	}
+
+	tr, err := NewTree(DefaultDomains())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rack, leaf := tr.Nodes(Rack)[1], tr.Leaves()[0]
+	tr.CutNode(tr.Root())
+	tr.CutNode(rack)
+	tr.CutNode(leaf)
+	tr.CutNode(leaf)
+	tr.RestoreNode(leaf)
+	tr.RestoreNode(leaf)
+	tr.RestoreNode(leaf) // a restore with no cut left still counts
+	tr.RestoreNode(tr.Root())
+	if tr.Cuts() != 4 || tr.Restores() != 4 {
+		t.Fatalf("totals: cuts=%d restores=%d, want 4 and 4", tr.Cuts(), tr.Restores())
+	}
+	want := map[Level][2]int{Room: {1, 1}, Rack: {1, 0}, Enclosure: {0, 0}, PSU: {2, 3}}
+	for l, w := range want {
+		if c, r := tr.CutsAt(l), tr.RestoresAt(l); c != w[0] || r != w[1] {
+			t.Errorf("%s: cuts=%d restores=%d, want %d and %d", l, c, r, w[0], w[1])
+		}
+	}
+	if rack.Powered() || !leaf.Powered() {
+		t.Errorf("rack powered=%v leaf powered=%v after restores, want false and true", rack.Powered(), leaf.Powered())
 	}
 }
 
@@ -263,7 +290,6 @@ func TestConfigValidation(t *testing.T) {
 		{GroupSize: 4, Parity: 4},
 		{Parity: -1},
 		{Spares: -2},
-		{Workload: WorkloadConfig{ReadFraction: 1.5}},
 		{Faults: FaultPlan{Script: []CutEvent{{Level: Level(9), Outage: sim.Second}}}},
 	}
 	for i, c := range bad {

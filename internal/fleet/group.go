@@ -332,7 +332,7 @@ func (s *Slot) step(gen uint64) {
 		s.finishRebuild()
 		return
 	}
-	chunk := int64(f.cfg.Rebuild.ChunkPages)
+	chunk := int64(rebuildChunkPages)
 	if rem := pages - s.rebuilt; chunk > rem {
 		chunk = rem
 	}
@@ -340,7 +340,7 @@ func (s *Slot) step(gen uint64) {
 
 	if s.mode == rebuildInter {
 		// One chunk from backup: pace the fetch, then write it out.
-		pause := sim.Duration(float64(chunk*4096) / float64(f.cfg.Rebuild.BackupBandwidth) * float64(sim.Second))
+		pause := sim.Duration(float64(chunk*4096) / float64(backupBandwidth) * float64(sim.Second))
 		f.k.After(pause, func() {
 			if gen != s.rbGen || s.stalled {
 				return

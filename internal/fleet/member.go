@@ -186,9 +186,9 @@ func (m *Member) ioDone(req *blockdev.Request, op blockdev.Op, pages int, rebuil
 
 // newMember builds a drive on the given PSU leaf and wires its power
 // transitions.
-func newMember(k *sim.Kernel, prof MemberProfile, id int, psu *Node, host blockdev.Config) (*Member, error) {
+func newMember(k *sim.Kernel, prof MemberProfile, id int, psu *Node) (*Member, error) {
 	m := &Member{k: k, prof: prof, id: id, psu: psu, powered: psu.Powered(), ready: psu.Powered()}
-	q, err := blockdev.New(k, m, nil, host)
+	q, err := blockdev.New(k, m, nil, blockdev.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

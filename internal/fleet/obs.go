@@ -20,7 +20,7 @@ type fleetObs struct {
 }
 
 // Observe attaches the fleet to an observability set: power edges per
-// tree node through the shared Schedule, slot state transitions and
+// tree node through the tree's own hook, slot state transitions and
 // rebuild windows under "fleet", and every member's block layer sharing
 // one "blockdev" scope (their latency samples merge into one fleet-wide
 // distribution). Call before Run; a nil set is a no-op.
@@ -38,7 +38,7 @@ func (f *Sim) Observe(set *obs.Set) {
 		fgLat:       sc.Histogram("fg_latency_ns"),
 		fgDegLat:    sc.Histogram("fg_degraded_latency_ns"),
 	}
-	f.sched.Observe(set.Scope("power"), func() sim.Time { return f.k.Now() })
+	f.tree.Observe(set.Scope("power"), func() sim.Time { return f.k.Now() })
 	for _, m := range f.members {
 		m.queue.Observe(set.Scope("blockdev"))
 	}

@@ -201,6 +201,8 @@ func TestConfigValidation(t *testing.T) {
 		{VNominal: 5, Capacitance: 0, BleedOhms: 1},
 		{VNominal: 5, Capacitance: 1, BleedOhms: 0},
 		{VNominal: 5, Capacitance: 1, BleedOhms: 1, RiseTime: -1},
+		// A zero rise never crosses an upward threshold after power-on.
+		{VNominal: 5, Capacitance: 0.02, BleedOhms: 27.7},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

@@ -55,8 +55,11 @@ func (c Config) Validate() error {
 	if c.BleedOhms <= 0 {
 		return fmt.Errorf("power: BleedOhms must be positive, got %g", c.BleedOhms)
 	}
-	if c.RiseTime < 0 {
-		return fmt.Errorf("power: RiseTime must be non-negative, got %s", c.RiseTime)
+	// A zero rise would jump the rail to nominal on power-on, so no
+	// upward threshold crossing ever fires and the device never becomes
+	// ready again.
+	if c.RiseTime <= 0 {
+		return fmt.Errorf("power: RiseTime must be positive, got %s", c.RiseTime)
 	}
 	return nil
 }
@@ -208,9 +211,6 @@ func (p *PSU) VoltageAt(t sim.Time) float64 {
 		dt = 0
 	}
 	if p.on {
-		if p.cfg.RiseTime <= 0 {
-			return p.cfg.VNominal
-		}
 		rise := p.cfg.RiseTime.Seconds()
 		v := p.vAtSwitch + (p.cfg.VNominal-p.vAtSwitch)*(dt/rise)
 		if v > p.cfg.VNominal {
@@ -259,21 +259,12 @@ func (p *PSU) crossingDelay(w *Watch) (sim.Duration, bool) {
 	}
 	// Upward crossing: only while on and ramping.
 	if p.on && v < w.threshold && w.threshold <= p.cfg.VNominal {
-		if p.cfg.RiseTime <= 0 {
-			return 0, true
-		}
 		rise := p.cfg.RiseTime.Seconds()
 		frac := (w.threshold - v) / (p.cfg.VNominal - v)
-		return sim.Seconds(rise * frac * (1 - p.switchProgress())), true
+		return sim.Seconds(rise * frac), true
 	}
 	return 0, false
 }
-
-// switchProgress returns how far through the rise ramp we already are; the
-// crossing math in crossingDelay works from the *current* voltage, so no
-// additional progress correction is needed. Kept as a named helper for
-// clarity and future non-linear ramps.
-func (p *PSU) switchProgress() float64 { return 0 }
 
 func (p *PSU) replanAll() {
 	for _, w := range p.watches {

@@ -92,11 +92,6 @@ type Config struct {
 	// (default 512), split evenly into per-stream partitions. The home
 	// region is everything above it.
 	LogPages int `json:"log_pages"`
-	// Policy is the primary recovery policy: the one Stats() and the
-	// report's headline TxnStats reflect. The oracle always judges every
-	// fault under all policies (the ablation), so the alternative's
-	// verdicts are never lost. Default HoleTolerant.
-	Policy RecoveryPolicy `json:"recovery_policy"`
 }
 
 // DefaultConfig returns the stock engine tuning.
@@ -134,9 +129,6 @@ func (c Config) Validate() error {
 	}
 	if c.Barrier < FlushPerCommit || c.Barrier > NoFlush {
 		return fmt.Errorf("txn: unknown barrier %d", int(c.Barrier))
-	}
-	if c.Policy < HoleTolerant || c.Policy > StrictScan {
-		return fmt.Errorf("txn: unknown recovery policy %d", int(c.Policy))
 	}
 	if c.GroupEvery < 1 {
 		return fmt.Errorf("txn: GroupEvery must be positive, got %d", c.GroupEvery)

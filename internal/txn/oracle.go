@@ -52,8 +52,8 @@ func (v Verdict) String() string {
 
 // RecoveryPolicy selects how a recovery implementation scans the log.
 // The oracle judges every fault cycle under ALL policies on the same
-// observed device state (the ablation); Config.Policy picks which one
-// the headline stats reflect.
+// observed device state (the ablation); the headline stats reflect
+// HoleTolerant.
 type RecoveryPolicy int
 
 // Recovery policies.
@@ -188,9 +188,9 @@ func (e *Engine) StatsFor(p RecoveryPolicy) Stats {
 	return s
 }
 
-// Stats returns a snapshot of the engine's counters under the primary
-// recovery policy (Config.Policy).
-func (e *Engine) Stats() Stats { return e.StatsFor(e.cfg.Policy) }
+// Stats returns a snapshot of the engine's counters under the
+// hole-tolerant recovery policy, the headline one.
+func (e *Engine) Stats() Stats { return e.StatsFor(HoleTolerant) }
 
 // observation is the post-recovery content of one page.
 type observation struct {
@@ -217,7 +217,7 @@ func (c CycleVerdicts) Losses() int { return c.LostCommits + c.Torn + c.OutOfOrd
 
 // CycleOutcome is the outcome of one oracle run: the same observed
 // post-fault state judged under every recovery policy. The embedded
-// CycleVerdicts are the primary policy's (Config.Policy), so existing
+// CycleVerdicts are the hole-tolerant policy's, so existing
 // consumers read the headline numbers directly; Policies carries the
 // full ablation, indexed by RecoveryPolicy.
 type CycleOutcome struct {
@@ -436,7 +436,7 @@ func (e *Engine) FinishRecovery() CycleOutcome {
 			f.oldestLostSeq = oldestLost
 		}
 	}
-	out.CycleVerdicts = out.Policies[e.cfg.Policy]
+	out.CycleVerdicts = out.Policies[HoleTolerant]
 
 	e.stats.Unacked += int64(unacked)
 	e.stats.RecoveryScans++

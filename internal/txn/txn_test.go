@@ -445,7 +445,6 @@ func TestConfigValidation(t *testing.T) {
 		// record in slot 0, leaving one slot too few for a transaction.
 		{PagesPerTxn: 4, LogPages: 6, GroupEvery: 1, CheckpointEvery: 1},
 		{PagesPerTxn: 4, LogPages: 12, GroupEvery: 1, CheckpointEvery: 1, Streams: 2},
-		{PagesPerTxn: 4, LogPages: 64, GroupEvery: 1, CheckpointEvery: 1, Policy: RecoveryPolicy(7)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -664,39 +663,11 @@ func TestStrictScanStopsAtFirstTear(t *testing.T) {
 	}
 }
 
-// TestStrictPolicyAsPrimary: Config.Policy flips which policy the
-// headline stats reflect, without changing the ablation rows.
-func TestStrictPolicyAsPrimary(t *testing.T) {
-	cfg := Config{PagesPerTxn: 2, Barrier: NoFlush, LogPages: 64, CheckpointEvery: 100, Policy: StrictScan}
-	h := newHarness(t, cfg)
-	h.runUntilCommitted(3)
-	last := h.e.ledger[2]
-	for _, p := range last.pages {
-		h.keep(h.e.logSlotLPN(p.slot))
-	}
-	h.keep(h.e.logSlotLPN(last.commitSlot))
-
-	out := h.recover()
-	if out.CycleVerdicts != out.Policies[StrictScan] {
-		t.Fatalf("primary %+v != strict %+v", out.CycleVerdicts, out.Policies[StrictScan])
-	}
-	s := h.e.Stats()
-	if s.Policy != StrictScan || int(s.LostCommits) != out.Policies[StrictScan].LostCommits {
-		t.Fatalf("Stats() = %s, want the strict-scan fold", s)
-	}
-	alt := h.e.StatsFor(HoleTolerant)
-	if alt.Policy != HoleTolerant || int(alt.Intact) != out.Policies[HoleTolerant].Intact {
-		t.Fatalf("StatsFor(HoleTolerant) = %s", alt)
-	}
-	if alt.Committed != s.Committed || alt.Flushes != s.Flushes {
-		t.Fatal("engine counters diverged between policy views")
-	}
-}
-
 // TestStrictNeverBeatsHoleTolerant: under arbitrary survival patterns the
 // strict scan's durable sets are subsets of the hole-tolerant ones, so it
 // can only lose more. Sweep a range of keep patterns and check the
-// invariant plus the verdict partition under both policies.
+// invariant plus the verdict partition under both policies, and that the
+// headline verdicts and Stats() are the hole-tolerant ones.
 func TestStrictNeverBeatsHoleTolerant(t *testing.T) {
 	for pattern := 0; pattern < 32; pattern++ {
 		cfg := Config{PagesPerTxn: 2, Barrier: NoFlush, LogPages: 64, CheckpointEvery: 100}
@@ -717,6 +688,16 @@ func TestStrictNeverBeatsHoleTolerant(t *testing.T) {
 		}
 		out := h.recover()
 		ht, st := out.Policies[HoleTolerant], out.Policies[StrictScan]
+		if out.CycleVerdicts != ht {
+			t.Fatalf("pattern %d: headline %+v != hole-tolerant %+v", pattern, out.CycleVerdicts, ht)
+		}
+		s, strict := h.e.Stats(), h.e.StatsFor(StrictScan)
+		if s.Policy != HoleTolerant || int(s.LostCommits) != ht.LostCommits || int(strict.LostCommits) != st.LostCommits {
+			t.Fatalf("pattern %d: Stats() = %s, StatsFor(StrictScan) = %s", pattern, s, strict)
+		}
+		if strict.Committed != s.Committed || strict.Flushes != s.Flushes {
+			t.Fatalf("pattern %d: engine counters diverged between policy views", pattern)
+		}
 		if st.Losses() < ht.Losses() {
 			t.Fatalf("pattern %d: strict losses %d < hole-tolerant %d", pattern, st.Losses(), ht.Losses())
 		}

@@ -42,7 +42,7 @@
 //
 // Traffic comes from one of three IO sources behind a single pluggable
 // interface: the paper's synthetic workload generator (the default), the
-// transactional WAL application layer (Options.App), or an MSR-style
+// transactional WAL application layer (Options.Txn), or an MSR-style
 // block-trace replayer (Experiment.Trace, via ParseTrace/ParseTraceFile
 // or the bundled fixtures) replaying real traces open- or closed-loop
 // through the identical fault pipeline.
@@ -147,18 +147,17 @@ type (
 	// MemberReport is one array member's slice of a Report.
 	MemberReport = core.MemberReport
 
-	// AppConfig selects an optional application layer above the block
-	// device; the zero value runs the paper's plain IO generator.
-	AppConfig = core.AppConfig
 	// TxnConfig tunes the write-ahead-log transaction engine (stream
 	// count, pages per transaction, commit barrier, group size,
-	// checkpoint cadence, log region size, primary recovery policy).
+	// checkpoint cadence, log region size); assign a pointer to
+	// Options.Txn to run the engine instead of the paper's plain IO
+	// generator.
 	TxnConfig = txn.Config
 	// TxnBarrier selects the engine's commit durability policy.
 	TxnBarrier = txn.Barrier
 	// TxnRecoveryPolicy selects how a recovery scan treats torn log
-	// slots; the oracle always judges every fault under all policies
-	// (Report.TxnPolicies), the config picks the headline one.
+	// slots; the oracle judges every fault under all policies
+	// (Report.TxnPolicies), and the headline TxnStats are hole-tolerant.
 	TxnRecoveryPolicy = txn.RecoveryPolicy
 	// TxnStats carries the crash-consistency oracle's verdict counts in a
 	// Report (intact / lost-commit / torn / out-of-order, oldest lost
@@ -191,8 +190,8 @@ type (
 	// FleetConfig describes a datacenter-scale fleet experiment: the
 	// fault-domain tree (room → rack → enclosure → PSU), the population of
 	// m+k redundancy groups (Parity bays each; default 1, RAID-5-like)
-	// with standby spares, the rebuild policy, the fault plan over the
-	// tree and the foreground workload. Assign a pointer to Options.Fleet
+	// with standby spares, the rebuild policy and the fault plan over the
+	// tree. Assign a pointer to Options.Fleet
 	// to run the fleet path instead of the single-device platform.
 	FleetConfig = fleet.Config
 	// FleetDomains sizes the fault-domain tree.
@@ -203,11 +202,9 @@ type (
 	FleetCutEvent = fleet.CutEvent
 	// FleetFaultPlan selects scripted or random cut targeting over the tree.
 	FleetFaultPlan = fleet.FaultPlan
-	// FleetRebuildPolicy tunes grace windows, rebuild chunking, backup
-	// bandwidth and the controller cadence.
+	// FleetRebuildPolicy tunes the grace window and the controller
+	// cadence.
 	FleetRebuildPolicy = fleet.RebuildPolicy
-	// FleetWorkload shapes the per-group foreground traffic.
-	FleetWorkload = fleet.WorkloadConfig
 	// FleetMemberProfile is the lightweight member-drive service model.
 	FleetMemberProfile = fleet.MemberProfile
 	// FleetStats carries the fleet outcome in a Report: per-level cut
@@ -301,8 +298,8 @@ const (
 )
 
 // Recovery-scan policies for the transactional application layer
-// (TxnConfig.Policy selects the primary; Report.TxnPolicies carries the
-// ablation under both).
+// (HoleTolerantRecovery is the headline one; Report.TxnPolicies carries
+// the ablation under both).
 const (
 	// HoleTolerantRecovery replays every durable record, holes included:
 	// the best any recovery implementation could do.
@@ -453,15 +450,11 @@ func TraceReplay(tr *TraceWorkload, mode TraceMode) *TraceConfig {
 
 // DefaultTxnConfig returns the stock transaction-engine tuning: one WAL
 // stream, 4 pages per transaction, flush-per-commit, checkpoint every 32
-// commits, a 512-page log region, hole-tolerant primary recovery.
+// commits and a 512-page log region. Assign a pointer to a copy to
+// Options.Txn: the experiment's Workload is then ignored — the engine
+// generates its own IO stream — and after every fault the recovery oracle
+// classifies each acknowledged transaction into the Report's TxnStats.
 func DefaultTxnConfig() TxnConfig { return txn.DefaultConfig() }
-
-// TxnApp enables the transactional WAL application layer with cfg; assign
-// the result to Options.App. The experiment's Workload is ignored — the
-// engine generates its own IO stream — and after every fault the recovery
-// oracle classifies each acknowledged transaction into the Report's
-// TxnStats.
-func TxnApp(cfg TxnConfig) AppConfig { return AppConfig{Txn: &cfg} }
 
 // DefaultFleetConfig returns the stock fleet: 8 single-parity groups of 4
 // with 2 standby spares on a 2-rack × 2-enclosure × 2-PSU fault-domain
