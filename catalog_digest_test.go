@@ -1,6 +1,7 @@
 package powerfail_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,14 +17,13 @@ import (
 // catalogDigestScale is the catalog scale the checked-in digests pin.
 const catalogDigestScale = 0.05
 
-// catalogDigests runs the whole catalog at catalogDigestScale and returns
-// one SHA-256 per figure over the JSON of its results (item order) and its
-// figure summary. Wall time is not part of either encoding, so the digests
-// depend only on the simulation.
-func catalogDigests(t *testing.T) map[string]string {
+// catalogDigests runs items and returns one SHA-256 per figure over the
+// JSON of its results (item order) and its figure summary, plus the
+// campaign result for further checks. Wall time is not part of either
+// encoding, so the digests depend only on the simulation.
+func catalogDigests(t *testing.T, items []powerfail.CatalogItem) (map[string]string, *powerfail.CampaignResult) {
 	t.Helper()
-	out, err := powerfail.NewCampaign(powerfail.AllItems(catalogDigestScale),
-		powerfail.WithParallelism(2)).Run(context.Background())
+	out, err := powerfail.NewCampaign(items, powerfail.WithParallelism(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,42 @@ func catalogDigests(t *testing.T) map[string]string {
 	for fig, h := range hashes {
 		digests[fig] = hex.EncodeToString(h.Sum(nil))
 	}
-	return digests
+	return digests, out
+}
+
+// checkDigests compares got against the checked-in digest file and, on a
+// mismatch, names each differing key and logs the full new set.
+func checkDigests(t *testing.T, path string, got map[string]string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	keys := make([]string, 0, len(got)+len(want))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	bad := false
+	for _, k := range keys {
+		if got[k] != want[k] {
+			t.Errorf("%q: digest %q, want %q", k, got[k], want[k])
+			bad = true
+		}
+	}
+	if bad {
+		b, _ := json.MarshalIndent(got, "", "  ")
+		t.Logf("digests for %s:\n%s", path, b)
+	}
 }
 
 // TestCatalogDigests pins every report byte of the catalog: a change that
@@ -62,35 +97,42 @@ func catalogDigests(t *testing.T) map[string]string {
 // testdata/catalog_digests.json with the set this test prints and says so
 // in the change description.
 func TestCatalogDigests(t *testing.T) {
-	raw, err := os.ReadFile("testdata/catalog_digests.json")
-	if err != nil {
+	got, _ := catalogDigests(t, powerfail.AllItems(catalogDigestScale))
+	checkDigests(t, "testdata/catalog_digests.json", got)
+}
+
+// TestObsDigests pins the bytes observability adds: the first item of
+// every figure at catalogDigestScale runs with DefaultObsConfig, and the
+// test hashes each figure's results JSON (which carries the obs
+// summaries) and, under the key "chrome", the merged Chrome trace of all
+// of them. testdata/obs_digests.json changes only with a deliberate
+// change to the model or to what the obs layer records.
+func TestObsDigests(t *testing.T) {
+	seen := map[string]bool{}
+	var items []powerfail.CatalogItem
+	cfg := powerfail.DefaultObsConfig()
+	for _, it := range powerfail.AllItems(catalogDigestScale) {
+		if seen[it.Figure] {
+			continue
+		}
+		seen[it.Figure] = true
+		it.Opts.Obs = &cfg
+		items = append(items, it)
+	}
+	got, out := catalogDigests(t, items)
+
+	procs := make([]powerfail.ObsProcess, 0, len(out.Results))
+	for _, res := range out.Results {
+		procs = append(procs, powerfail.ObsProcess{
+			Name:   res.Item.Figure + "/" + res.Item.Label,
+			Events: res.Report.ObsTrace,
+		})
+	}
+	var b bytes.Buffer
+	if err := powerfail.WriteObsChromeTrace(&b, procs); err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("testdata/catalog_digests.json: %v", err)
-	}
-	got := catalogDigests(t)
-
-	figs := make([]string, 0, len(got)+len(want))
-	for fig := range got {
-		figs = append(figs, fig)
-	}
-	for fig := range want {
-		if _, ok := got[fig]; !ok {
-			figs = append(figs, fig)
-		}
-	}
-	sort.Strings(figs)
-	bad := false
-	for _, fig := range figs {
-		if got[fig] != want[fig] {
-			t.Errorf("figure %q: digest %q, want %q", fig, got[fig], want[fig])
-			bad = true
-		}
-	}
-	if bad {
-		b, _ := json.MarshalIndent(got, "", "  ")
-		t.Logf("catalog digests at scale %g:\n%s", catalogDigestScale, b)
-	}
+	sum := sha256.Sum256(b.Bytes())
+	got["chrome"] = hex.EncodeToString(sum[:])
+	checkDigests(t, "testdata/obs_digests.json", got)
 }
