@@ -12,12 +12,12 @@ import (
 // BenchmarkQueueSubmitComplete and BenchmarkQueueSubmitCompleteSplit:
 // once the request, sub-request and timer pools are warm, a pooled write
 // goes submit → split → dispatch → complete without allocating, whole or
-// split. The queue runs untraced (nil tracer), as every platform does
-// unless a block trace is being exported.
+// split. The queue runs untraced (no TraceIOs scope), as every platform
+// does unless a block trace is being exported.
 func TestQueueZeroAllocs(t *testing.T) {
 	for _, pages := range []int{8, 300} {
 		k := sim.New()
-		q, err := New(k, &benchDevice{k: k}, nil, DefaultConfig())
+		q, err := New(k, &benchDevice{k: k}, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

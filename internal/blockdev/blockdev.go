@@ -1,10 +1,12 @@
 // Package blockdev models the host side of the IO path: the operating
 // system block layer between the paper's IO generator and the SSD. It
 // splits large requests into sub-requests at a segment limit, dispatches
-// them to the device under a bounded queue depth, records blktrace events
-// for every state transition, aggregates sub-request completions, and
-// enforces the 30 second request timeout the paper's analyzer uses to
-// declare delayed requests incomplete.
+// them to the device under a bounded queue depth, aggregates sub-request
+// completions, and enforces the 30 second request timeout the paper's
+// analyzer uses to declare delayed requests incomplete. A request is
+// complete in the sense of the paper's modified btt (every sub-request
+// reached the C state) exactly when it finishes with a nil Err; traced
+// runs get one queue-to-complete span per such request (see TraceIOs).
 //
 // The queue is on the per-IO hot path of every experiment, so it is
 // allocation-free in steady state: sub-requests are inline values in the
@@ -23,7 +25,6 @@ import (
 	"fmt"
 
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/content"
 	"powerfail/internal/sim"
 )
@@ -49,17 +50,6 @@ func (o Op) String() string {
 		return "flush"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
-	}
-}
-
-func (o Op) traceKind() blktrace.OpKind {
-	switch o {
-	case OpRead:
-		return blktrace.OpRead
-	case OpWrite:
-		return blktrace.OpWrite
-	default:
-		return blktrace.OpFlush
 	}
 }
 
@@ -117,7 +107,6 @@ type Request struct {
 }
 
 type subRequest struct {
-	idx    int
 	lpn    addr.LPN
 	pages  int
 	off    int // page offset within the parent
@@ -210,10 +199,9 @@ type Stats struct {
 
 // Queue is the host block layer instance.
 type Queue struct {
-	k      *sim.Kernel
-	dev    Device
-	tracer *blktrace.Tracer
-	cfg    Config
+	k   *sim.Kernel
+	dev Device
+	cfg Config
 
 	nextID   uint64
 	pending  []pendingSub // dispatch FIFO: live entries are pending[pendHead:]
@@ -221,21 +209,21 @@ type Queue struct {
 	inflight int
 	stats    Stats
 	obs      queueObs
+	ios      ioTrace
 
 	reqFree  []*Request
 	callFree []*subCall
 }
 
-// New builds a block layer over dev, recording events into tracer (which
-// may be nil to disable tracing).
-func New(k *sim.Kernel, dev Device, tracer *blktrace.Tracer, cfg Config) (*Queue, error) {
+// New builds a block layer over dev.
+func New(k *sim.Kernel, dev Device, cfg Config) (*Queue, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if dev == nil {
 		return nil, errors.New("blockdev: nil device")
 	}
-	return &Queue{k: k, dev: dev, tracer: tracer, cfg: cfg}, nil
+	return &Queue{k: k, dev: dev, cfg: cfg}, nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -279,12 +267,6 @@ func (q *Queue) release(r *Request) {
 	q.reqFree = append(q.reqFree, r)
 }
 
-func (q *Queue) trace(e blktrace.Event) {
-	if q.tracer != nil {
-		q.tracer.Record(e)
-	}
-}
-
 // Submit queues a request. The request's Done callback fires exactly once;
 // rejected requests complete immediately with ErrQueueFull and NotIssued
 // set.
@@ -300,21 +282,16 @@ func (q *Queue) Submit(r *Request) {
 	r.Queued = q.k.Now()
 	q.stats.Submitted++
 	q.obs.submitted.Inc()
-	kind := r.Op.traceKind()
 	if q.PendingSubs() >= q.cfg.PendingCap {
 		r.NotIssued = true
 		r.Err = ErrQueueFull
 		q.stats.Rejected++
 		q.obs.rejected.Inc()
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActReject, Op: kind, Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
 		q.finish(r)
 		return
 	}
-	q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActQueue, Op: kind, Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
 	q.split(r)
 	for i := range r.subs {
-		s := &r.subs[i]
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActSplit, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
 		q.pending = append(q.pending, pendingSub{r: r, idx: i, gen: r.gen})
 	}
 	r.remaining = len(r.subs)
@@ -329,7 +306,7 @@ func (q *Queue) Submit(r *Request) {
 func (q *Queue) split(r *Request) {
 	r.subs = r.subs[:0]
 	if r.Op == OpFlush {
-		r.subs = append(r.subs, subRequest{idx: 0, lpn: r.LPN, pages: 0})
+		r.subs = append(r.subs, subRequest{lpn: r.LPN})
 		return
 	}
 	seg := q.cfg.MaxSegPages
@@ -338,7 +315,7 @@ func (q *Queue) split(r *Request) {
 		if n > seg {
 			n = seg
 		}
-		r.subs = append(r.subs, subRequest{idx: len(r.subs), lpn: r.LPN + addr.LPN(off), pages: n, off: off})
+		r.subs = append(r.subs, subRequest{lpn: r.LPN + addr.LPN(off), pages: n, off: off})
 	}
 	if len(r.subs) > 1 {
 		q.stats.Splits += int64(len(r.subs) - 1)
@@ -395,8 +372,6 @@ func (q *Queue) pump() {
 		}
 		s := &r.subs[e.idx]
 		q.inflight++
-		kind := r.Op.traceKind()
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActDispatch, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
 		var payload content.Data
 		if r.Op == OpWrite {
 			payload = r.Data.Slice(s.off, s.pages)
@@ -418,14 +393,11 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 		return
 	}
 	s.done = true
-	kind := r.Op.traceKind()
 	if err != nil {
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActError, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
 		if r.Err == nil {
 			r.Err = err
 		}
 	} else {
-		q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActComplete, Op: kind, Req: r.ID, Sub: s.idx, LPN: s.lpn, Pages: s.pages})
 		s.result = result
 	}
 	r.remaining--
@@ -456,6 +428,7 @@ func (q *Queue) onSubDone(r *Request, idx int, gen uint32, err error, result con
 		q.stats.Completed++
 	}
 	q.obsDone(r)
+	q.ios.add(r, q.k.Now())
 	q.finish(r)
 }
 
@@ -466,7 +439,6 @@ func (q *Queue) onTimeout(r *Request) {
 	q.stats.TimedOut++
 	q.obs.timedOut.Inc()
 	r.Err = ErrTimeout
-	q.trace(blktrace.Event{At: q.k.Now(), Act: blktrace.ActTimeout, Op: r.Op.traceKind(), Req: r.ID, Sub: -1, LPN: r.LPN, Pages: r.Pages})
 	// Outstanding subs are abandoned implicitly: pending ring entries and
 	// late device completions both check finished (and gen, once the
 	// request is recycled).

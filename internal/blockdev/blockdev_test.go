@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/content"
+	"powerfail/internal/obs"
 	"powerfail/internal/sim"
 )
 
@@ -19,6 +19,13 @@ type fakeDevice struct {
 	pages    map[addr.LPN]content.Fingerprint
 	maxInfly int
 	infly    int
+	// subs records every (lpn, pages) submission in arrival order.
+	subs []fakeSub
+}
+
+type fakeSub struct {
+	lpn   addr.LPN
+	pages int
 }
 
 func newFake(k *sim.Kernel) *fakeDevice {
@@ -26,6 +33,7 @@ func newFake(k *sim.Kernel) *fakeDevice {
 }
 
 func (d *fakeDevice) Submit(op Op, lpn addr.LPN, pages int, data content.Data, done func(error, content.Data)) {
+	d.subs = append(d.subs, fakeSub{lpn, pages})
 	d.infly++
 	if d.infly > d.maxInfly {
 		d.maxInfly = d.infly
@@ -55,20 +63,19 @@ func (d *fakeDevice) Submit(op Op, lpn addr.LPN, pages int, data content.Data, d
 	})
 }
 
-func harness(t *testing.T, cfg Config) (*sim.Kernel, *fakeDevice, *Queue, *blktrace.Tracer) {
+func harness(t *testing.T, cfg Config) (*sim.Kernel, *fakeDevice, *Queue) {
 	t.Helper()
 	k := sim.New()
 	dev := newFake(k)
-	tr := blktrace.NewTracer()
-	q, err := New(k, dev, tr, cfg)
+	q, err := New(k, dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, dev, q, tr
+	return k, dev, q
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	k, _, q, _ := harness(t, DefaultConfig())
+	k, _, q := harness(t, DefaultConfig())
 	r := sim.NewRNG(1)
 	payload := content.Random(r, 300) // splits into 128+128+44
 	var wrote, read bool
@@ -101,22 +108,17 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestSplitBoundaries(t *testing.T) {
-	k, _, q, tr := harness(t, DefaultConfig())
+	k, dev, q := harness(t, DefaultConfig())
 	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 257, Data: content.Zeroes(257), Done: func(*Request) {}})
 	k.Run()
-	var subs []blktrace.Event
-	for _, e := range tr.Events() {
-		if e.Act == blktrace.ActSplit {
-			subs = append(subs, e)
-		}
-	}
+	subs := dev.subs
 	if len(subs) != 3 {
 		t.Fatalf("sub-requests = %d, want 3", len(subs))
 	}
-	if subs[0].Pages != 128 || subs[1].Pages != 128 || subs[2].Pages != 1 {
+	if subs[0].pages != 128 || subs[1].pages != 128 || subs[2].pages != 1 {
 		t.Fatalf("split sizes wrong: %+v", subs)
 	}
-	if subs[1].LPN != 128 || subs[2].LPN != 256 {
+	if subs[0].lpn != 0 || subs[1].lpn != 128 || subs[2].lpn != 256 {
 		t.Fatalf("split offsets wrong: %+v", subs)
 	}
 }
@@ -124,7 +126,7 @@ func TestSplitBoundaries(t *testing.T) {
 func TestDepthRespected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Depth = 4
-	k, dev, q, _ := harness(t, cfg)
+	k, dev, q := harness(t, cfg)
 	for i := 0; i < 20; i++ {
 		q.Submit(&Request{Op: OpWrite, LPN: addr.LPN(i * 10), Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
 	}
@@ -141,7 +143,7 @@ func TestQueueFullRejection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PendingCap = 2
 	cfg.Depth = 1
-	k, dev, q, tr := harness(t, cfg)
+	k, dev, q := harness(t, cfg)
 	dev.latency = 10 * sim.Millisecond
 	rejected := 0
 	for i := 0; i < 10; i++ {
@@ -161,19 +163,10 @@ func TestQueueFullRejection(t *testing.T) {
 	if int(q.Stats().Rejected) != rejected {
 		t.Fatalf("stats.Rejected=%d, callbacks=%d", q.Stats().Rejected, rejected)
 	}
-	sawReject := false
-	for _, e := range tr.Events() {
-		if e.Act == blktrace.ActReject {
-			sawReject = true
-		}
-	}
-	if !sawReject {
-		t.Fatal("no reject trace event")
-	}
 }
 
 func TestDeviceErrorPropagates(t *testing.T) {
-	k, dev, q, tr := harness(t, DefaultConfig())
+	k, dev, q := harness(t, DefaultConfig())
 	dev.failAll = true
 	var gotErr error
 	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 200, Data: content.Zeroes(200), Done: func(req *Request) {
@@ -183,15 +176,6 @@ func TestDeviceErrorPropagates(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("device error not surfaced")
 	}
-	errs := 0
-	for _, e := range tr.Events() {
-		if e.Act == blktrace.ActError {
-			errs++
-		}
-	}
-	if errs != 2 {
-		t.Fatalf("error events = %d, want 2 (one per sub)", errs)
-	}
 	if q.Stats().Errored != 1 {
 		t.Fatalf("stats errored = %d", q.Stats().Errored)
 	}
@@ -200,7 +184,7 @@ func TestDeviceErrorPropagates(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Timeout = 100 * sim.Millisecond
-	k, dev, q, tr := harness(t, cfg)
+	k, dev, q := harness(t, cfg)
 	dev.silent = true
 	var gotErr error
 	done := false
@@ -212,22 +196,13 @@ func TestTimeout(t *testing.T) {
 	if !done || gotErr != ErrTimeout {
 		t.Fatalf("timeout not delivered: done=%v err=%v", done, gotErr)
 	}
-	sawTimeout := false
-	for _, e := range tr.Events() {
-		if e.Act == blktrace.ActTimeout {
-			sawTimeout = true
-		}
-	}
-	if !sawTimeout {
-		t.Fatal("no timeout trace event")
-	}
 	if k.Now() < sim.Time(100*sim.Millisecond) {
 		t.Fatal("completed before the timeout deadline")
 	}
 }
 
 func TestFlushRequest(t *testing.T) {
-	k, _, q, _ := harness(t, DefaultConfig())
+	k, _, q := harness(t, DefaultConfig())
 	done := false
 	q.Submit(&Request{Op: OpFlush, Done: func(req *Request) {
 		if req.Err != nil {
@@ -241,37 +216,18 @@ func TestFlushRequest(t *testing.T) {
 	}
 }
 
-func TestTraceLifecycle(t *testing.T) {
-	k, _, q, tr := harness(t, DefaultConfig())
-	q.Submit(&Request{Op: OpWrite, LPN: 5, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
-	k.Run()
-	var acts []blktrace.Action
-	for _, e := range tr.Events() {
-		acts = append(acts, e.Act)
-	}
-	want := []blktrace.Action{blktrace.ActQueue, blktrace.ActSplit, blktrace.ActDispatch, blktrace.ActComplete}
-	if len(acts) != len(want) {
-		t.Fatalf("events: %v", acts)
-	}
-	for i := range want {
-		if acts[i] != want[i] {
-			t.Fatalf("event %d = %c, want %c", i, acts[i], want[i])
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	k := sim.New()
-	if _, err := New(k, newFake(k), nil, Config{}); err == nil {
+	if _, err := New(k, newFake(k), Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	if _, err := New(k, nil, nil, DefaultConfig()); err == nil {
+	if _, err := New(k, nil, DefaultConfig()); err == nil {
 		t.Fatal("nil device accepted")
 	}
 }
 
 func TestPanicsOnBadRequests(t *testing.T) {
-	k, _, q, _ := harness(t, DefaultConfig())
+	k, _, q := harness(t, DefaultConfig())
 	assertPanics(t, func() { q.Submit(&Request{Op: OpWrite, Pages: 0}) })
 	assertPanics(t, func() { q.Submit(&Request{Op: OpWrite, Pages: 2, Data: content.Zeroes(1)}) })
 	_ = k
@@ -294,11 +250,12 @@ func TestOpStrings(t *testing.T) {
 }
 
 // TestTraceCompletionMatchesStatus pins the paper's btt completion rule to
-// the request status the completion callback carries: a request's
-// assembled per-IO record is complete (every sub-request reached C, none
-// errored, no timeout, issued) exactly when it finished with no error and
-// was issued. Reports take the flag from the status, so this is the check
-// that the two never disagree.
+// the request status the completion callback carries: a traced queue
+// buffers a block-IO span exactly for the requests that finished with no
+// error and were issued (every sub-request reached C before the timeout),
+// stamped with the request's queue and completion times. Reports take
+// the flag from the status, so this is the check that the trace and the
+// reports never disagree.
 func TestTraceCompletionMatchesStatus(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -327,11 +284,12 @@ func TestTraceCompletionMatchesStatus(t *testing.T) {
 			k := sim.New()
 			dev := newFake(k)
 			tc.setup(&cfg, dev)
-			tr := blktrace.NewTracer()
-			q, err := New(k, dev, tr, cfg)
+			q, err := New(k, dev, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			set := obs.NewSet(obs.Config{Trace: true})
+			q.TraceIOs(set.Scope("blk"))
 			byID := map[uint64]*Request{}
 			for i := 0; i < tc.n; i++ {
 				req := &Request{Op: OpWrite, LPN: addr.LPN(i * tc.pages), Pages: tc.pages, Data: content.Zeroes(tc.pages), Done: func(*Request) {}}
@@ -339,26 +297,68 @@ func TestTraceCompletionMatchesStatus(t *testing.T) {
 				byID[req.ID] = req
 			}
 			k.Run()
-			ios := blktrace.Assemble(tr.Events())
-			if len(ios) != tc.n {
-				t.Fatalf("assembled %d IOs, want %d", len(ios), tc.n)
+			q.FlushIOs()
+			spans := set.TraceEvents()
+			if len(spans) != tc.complete {
+				t.Fatalf("%d spans for %d requests, want %d", len(spans), tc.n, tc.complete)
 			}
-			complete := 0
-			for _, io := range ios {
-				if io.Complete() {
-					complete++
-				}
-				req := byID[io.Req]
+			for _, e := range spans {
+				req := byID[uint64(e.Value)]
 				if req == nil {
-					t.Fatalf("trace names unknown request %d", io.Req)
+					t.Fatalf("span names unknown request %d", e.Value)
 				}
-				if want := req.Err == nil && !req.NotIssued; io.Complete() != want {
-					t.Errorf("req %d: btt complete=%v, status err=%v not-issued=%v", io.Req, io.Complete(), req.Err, req.NotIssued)
+				if req.Err != nil || req.NotIssued {
+					t.Errorf("req %d has a span, status err=%v not-issued=%v", e.Value, req.Err, req.NotIssued)
 				}
-			}
-			if complete != tc.complete {
-				t.Fatalf("%d of %d requests complete, want %d", complete, tc.n, tc.complete)
+				want := obs.Event{At: req.Queued, Dur: req.Completed.Sub(req.Queued), Kind: obs.KindBlockIO, Comp: "blk", Name: "W", Value: int64(req.ID)}
+				if e != want {
+					t.Errorf("span %+v, want %+v", e, want)
+				}
 			}
 		})
+	}
+}
+
+// TestTraceSpansFlushInIDOrder checks the buffer's lifecycle: spans leave
+// in request-ID order even when a later request completes first, a flush
+// empties the buffer, and a queue without a tracing scope buffers
+// nothing.
+func TestTraceSpansFlushInIDOrder(t *testing.T) {
+	run := func(sc obs.Scope) *Queue {
+		k, dev, q := harness(t, DefaultConfig())
+		q.TraceIOs(sc)
+		dev.latency = 10 * sim.Millisecond
+		q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
+		dev.latency = sim.Millisecond
+		q.Submit(&Request{Op: OpRead, LPN: 8, Pages: 1, Done: func(*Request) {}})
+		k.Run()
+		return q
+	}
+
+	set := obs.NewSet(obs.Config{Trace: true})
+	q := run(set.Scope("blk"))
+	if len(q.ios.spans) != 2 || q.ios.spans[0].Name != "R" {
+		t.Fatalf("buffered %+v, want the read (completed first) then the write", q.ios.spans)
+	}
+	q.FlushIOs()
+	got := set.TraceEvents()
+	if len(got) != 2 || got[0].Value != 1 || got[0].Name != "W" || got[1].Value != 2 || got[1].Name != "R" {
+		t.Fatalf("flushed %+v, want request 1 (W) then 2 (R)", got)
+	}
+	if len(q.ios.spans) != 0 {
+		t.Fatalf("flush left %d spans buffered", len(q.ios.spans))
+	}
+	q.FlushIOs()
+	if n := len(set.TraceEvents()); n != 2 {
+		t.Fatalf("second flush recorded again: %d events", n)
+	}
+
+	for name, sc := range map[string]obs.Scope{
+		"no scope":     {},
+		"metrics only": obs.NewSet(obs.Config{Metrics: true}).Scope("blk"),
+	} {
+		if q := run(sc); len(q.ios.spans) != 0 {
+			t.Errorf("%s: untraced queue buffered %d spans", name, len(q.ios.spans))
+		}
 	}
 }

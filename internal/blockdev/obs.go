@@ -1,7 +1,11 @@
 package blockdev
 
 import (
+	"cmp"
+	"slices"
+
 	"powerfail/internal/obs"
+	"powerfail/internal/sim"
 )
 
 // queueObs holds one Queue's observability handles. The zero value is
@@ -89,4 +93,46 @@ func (q *Queue) obsDone(r *Request) {
 	default:
 		o.q2cFlush.Observe(d)
 	}
+}
+
+// ioSpanNames are the block-IO span names, blktrace's one-letter op codes.
+var ioSpanNames = [...]string{OpRead: "R", OpWrite: "W", OpFlush: "F"}
+
+// ioTrace buffers one queue-to-complete span per completed request while
+// a traced scope is attached. Spans are buffered rather than recorded at
+// completion so that a flush can hand them to the trace ring in request
+// order, the order btt lists IOs in.
+type ioTrace struct {
+	sc    obs.Scope
+	spans []obs.Event
+}
+
+// add buffers r's span if r completed: every sub-request finished with
+// no error (rejected and timed-out requests never reach here).
+func (t *ioTrace) add(r *Request, now sim.Time) {
+	if !t.sc.Enabled() || r.Err != nil {
+		return
+	}
+	t.spans = append(t.spans, obs.Event{At: r.Queued, Dur: now.Sub(r.Queued), Name: ioSpanNames[r.Op], Value: int64(r.ID)})
+}
+
+// TraceIOs attaches the block-IO trace scope: while sc is tracing, every
+// completed request buffers a KindBlockIO span {At: Queued, Dur: Q2C,
+// Name: "R"|"W"|"F", Value: ID} until FlushIOs. A scope that is not
+// tracing leaves the queue untraced.
+func (q *Queue) TraceIOs(sc obs.Scope) {
+	if sc.TracingOn() {
+		q.ios.sc = sc
+	}
+}
+
+// FlushIOs records the buffered spans into the trace scope in request-ID
+// order and empties the buffer.
+func (q *Queue) FlushIOs() {
+	t := &q.ios
+	slices.SortFunc(t.spans, func(a, b obs.Event) int { return cmp.Compare(a.Value, b.Value) })
+	for _, e := range t.spans {
+		t.sc.Span(e.At, e.Dur, obs.KindBlockIO, e.Name, e.Value)
+	}
+	t.spans = t.spans[:0]
 }

@@ -42,7 +42,7 @@ func TestDegenerateTreeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Sched = NewFaultSchedulerOverTree(p.K, p.Arduino, tree)
+		p.Sched = NewFaultSchedulerOverTree(p.Arduino, tree)
 	})
 
 	jb, err := json.Marshal(base)

@@ -1,9 +1,9 @@
 // Package core implements the software part of the paper's test platform:
 // the Scheduler that commands the hardware to inject power faults, the IO
 // Generator that issues data packets, and the Analyzer that decides — from
-// the blktrace-style per-IO assembly plus checksum comparison — whether
-// each request suffered a data failure, a false write-acknowledge (FWA),
-// or an IO error. A Runner sequences whole experiments: workload, fault
+// each request's btt-style completion status plus checksum comparison —
+// whether each request suffered a data failure, a false write-acknowledge
+// (FWA), or an IO error. A Runner sequences whole experiments: workload, fault
 // cycles (cut, discharge, restore, recovery), and verification passes.
 package core
 

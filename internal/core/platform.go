@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"powerfail/internal/array"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/fleet"
 	"powerfail/internal/hdd"
@@ -141,7 +140,6 @@ type Platform struct {
 	HDD     *hdd.Disk    // single-HDD topology
 	Array   *array.Array // array topology
 	Host    *blockdev.Queue
-	Tracer  *blktrace.Tracer
 	Sched   *FaultScheduler
 	Obs     *obs.Set // nil unless Options.Obs enabled something
 }
@@ -198,16 +196,14 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: unknown topology kind %d", int(opts.Topology.Kind))
 	}
 
-	if p.ObsScope("blk").TracingOn() {
-		p.Tracer = blktrace.NewTracer()
-	}
-	host, err := blockdev.New(k, p.Dev, p.Tracer, opts.Host)
+	host, err := blockdev.New(k, p.Dev, opts.Host)
 	if err != nil {
 		return nil, fmt.Errorf("core: host: %w", err)
 	}
 	p.Host = host
 	host.Observe(p.Obs.Scope("blockdev"))
-	p.Sched = NewFaultScheduler(k, ard)
+	host.TraceIOs(p.Obs.Scope("blk"))
+	p.Sched = NewFaultScheduler(ard)
 	p.Sched.Instrument(p.Obs.Scope("power"), k)
 	return p, nil
 }
@@ -229,15 +225,15 @@ type FaultScheduler struct {
 
 // NewFaultScheduler wires a scheduler to the Arduino through the degenerate
 // single-PSU tree, the paper's rig.
-func NewFaultScheduler(k *sim.Kernel, ard *power.Arduino) *FaultScheduler {
-	return NewFaultSchedulerOverTree(k, ard, fleet.Degenerate("psu"))
+func NewFaultScheduler(ard *power.Arduino) *FaultScheduler {
+	return NewFaultSchedulerOverTree(ard, fleet.Degenerate("psu"))
 }
 
 // NewFaultSchedulerOverTree wires a scheduler to the Arduino through an
 // arbitrary fault-domain tree: the root's power transitions send the
 // hardware commands, so any single-path tree behaves byte-identically to
 // the classic one-PSU scheduler.
-func NewFaultSchedulerOverTree(_ *sim.Kernel, ard *power.Arduino, tree *fleet.Tree) *FaultScheduler {
+func NewFaultSchedulerOverTree(ard *power.Arduino, tree *fleet.Tree) *FaultScheduler {
 	tree.Root().OnPower(func(on bool) {
 		cmd := power.CmdCut
 		if on {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"powerfail/internal/addr"
-	"powerfail/internal/blktrace"
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/hdd"
@@ -394,18 +393,9 @@ func (r *Runner) maybeStartVerify() {
 	if r.ph != phaseVerify || r.outstanding > 0 || r.verifyQueue != nil {
 		return
 	}
-	// A traced run folds the fault cycle's block IOs into the obs trace
-	// as queue-to-complete spans, then resets the tracer to bound memory,
-	// so block and obs traces share one clock and one export.
-	if r.p.Tracer != nil {
-		sc := r.p.ObsScope("blk")
-		for _, bio := range blktrace.Assemble(r.p.Tracer.Events()) {
-			if bio.Complete() {
-				sc.Span(bio.QueueAt, bio.Q2C(), obs.KindBlockIO, bio.Op.String(), int64(bio.Req))
-			}
-		}
-		r.p.Tracer.Reset()
-	}
+	// A traced run moves the fault cycle's block-IO spans into the obs
+	// trace, so block and obs events share one clock and one export.
+	r.p.Host.FlushIOs()
 	r.verifyQueue = r.analyzer.VerifyCandidates(r.p.K.Now())
 	r.newControlPump(len(r.verifyQueue), r.verifyOne, r.finishVerification).pump()
 }

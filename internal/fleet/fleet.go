@@ -17,24 +17,18 @@ type RebuildPolicy struct {
 	// Delay is the grace window between a member going dark and declaring
 	// it failed; outages shorter than this are transient (default 2 s).
 	Delay sim.Duration `json:"delay_ns"`
-	// ControllerTick is how often the controller retries spare allocation
-	// and stalled rebuilds (default 1 s).
-	ControllerTick sim.Duration `json:"controller_tick_ns"`
 }
 
 func (p RebuildPolicy) withDefaults() RebuildPolicy {
 	if p.Delay == 0 {
 		p.Delay = 2 * sim.Second
 	}
-	if p.ControllerTick == 0 {
-		p.ControllerTick = sim.Second
-	}
 	return p
 }
 
 // Validate checks the policy.
 func (p RebuildPolicy) Validate() error {
-	if p.Delay < 0 || p.ControllerTick <= 0 {
+	if p.Delay < 0 {
 		return fmt.Errorf("fleet: invalid rebuild policy: %+v", p)
 	}
 	return nil
@@ -43,6 +37,9 @@ func (p RebuildPolicy) Validate() error {
 // The fleet's fixed calibration: rebuild pacing and the open-loop
 // foreground traffic each group serves while faults and rebuilds play out.
 const (
+	// controllerTick is how often the controller retries spare allocation
+	// and stalled rebuilds.
+	controllerTick = sim.Second
 	// rebuildChunkPages is the rebuild copy granularity.
 	rebuildChunkPages = 64
 	// backupBandwidth paces inter-group restores from the backup tier, in
@@ -506,7 +503,7 @@ func (f *Sim) scheduleFaults() {
 
 // scheduleController starts the periodic controller pass.
 func (f *Sim) scheduleController() {
-	f.k.After(f.cfg.Rebuild.ControllerTick, func() {
+	f.k.After(controllerTick, func() {
 		for _, g := range f.groups {
 			for _, s := range g.slots {
 				s.controllerTick()

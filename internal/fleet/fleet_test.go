@@ -125,7 +125,7 @@ func scriptedConfig(script []CutEvent, spares int) Config {
 		GroupSize: 4,
 		Spares:    spares,
 		Member:    MemberProfile{Pages: 1024},
-		Rebuild:   RebuildPolicy{Delay: sim.Second, ControllerTick: 500 * sim.Millisecond},
+		Rebuild:   RebuildPolicy{Delay: sim.Second},
 		Faults:    FaultPlan{Script: script},
 		Duration:  20 * sim.Second,
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Process groups one simulation's events for Chrome trace export, all on
@@ -63,7 +64,7 @@ func WriteChromeTrace(w io.Writer, procs []Process) error {
 			return t
 		}
 		events := append([]Event(nil), p.Events...)
-		SortEvents(events)
+		sortEvents(events)
 		for _, e := range events {
 			ce := chromeEvent{
 				Name: e.Name,
@@ -98,6 +99,12 @@ func WriteChromeTrace(w io.Writer, procs []Process) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// sortEvents orders events by time, keeping the original order of
+// equal-time events (record order is meaningful within one instant).
+func sortEvents(events []Event) {
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 }
 
 // validPhases are the trace-event phases this exporter emits.
@@ -135,6 +142,9 @@ func ValidateChromeTrace(r io.Reader) (int, error) {
 		}
 		if _, ok := e["pid"].(float64); !ok {
 			return 0, fmt.Errorf("obs: trace event %d (%q): missing pid", i, name)
+		}
+		if _, ok := e["tid"].(float64); !ok {
+			return 0, fmt.Errorf("obs: trace event %d (%q): missing tid", i, name)
 		}
 		if dur, present := e["dur"]; present {
 			if d, ok := dur.(float64); !ok || d < 0 {

@@ -1,8 +1,8 @@
 // Package obs is the deterministic observability layer threaded through
 // the simulation stack: a sim-time metrics registry (counters, gauges,
 // log-bucketed latency histograms), a bounded ring buffer of typed trace
-// events, and exporters (text timeline, a unified obs/blktrace event
-// format, Chrome trace-event JSON viewable in Perfetto).
+// events, and exporters (a sorted text and JSON summary, OpenMetrics
+// exposition, and Chrome trace-event JSON viewable in Perfetto).
 //
 // Two properties are load-bearing:
 //

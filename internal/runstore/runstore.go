@@ -204,6 +204,11 @@ func Open(path string) (*Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
+	return decode(path, data)
+}
+
+// decode parses archive bytes read from path (named in errors only).
+func decode(path string, data []byte) (*Archive, error) {
 	a := &Archive{Path: path}
 	lines := bytes.Split(data, []byte("\n"))
 	for i, line := range lines {

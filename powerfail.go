@@ -53,7 +53,8 @@
 // the platform (fault scheduler, IO generator with checksummed data
 // packets, an analyzer applying btt's per-IO completion rule, and the
 // data-failure / FWA / IO-error taxonomy) is implemented as published;
-// blktrace-style block traces are recorded for traced runs.
+// traced runs carry one queue-to-complete span per completed block
+// request in the obs trace.
 //
 // Above the single-rig platform sits the fleet layer (Options.Fleet): a
 // fault-domain tree of rooms, racks, enclosures and PSUs carrying hundreds
