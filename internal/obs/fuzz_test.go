@@ -2,40 +2,50 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
-	"sort"
+	"encoding/json"
 	"testing"
 
-	"powerfail/internal/blktrace"
+	"powerfail/internal/sim"
 )
 
-// FuzzReadUnifiedEvents: an event log is outside bytes (blkreport reads
-// it from stdin), so arbitrary input must never panic the reader, and any
-// log it accepts must have exactly one meaning:
+// FuzzReadUnifiedEvents: the Chrome trace is the one serialised form of
+// the unified event stream, and ValidateChromeTrace is its reader —
+// blkreport -validate-chrome feeds it outside bytes and CI gates on it.
 //
-//  1. ReadUnifiedEvents returns (events, blk, error) for arbitrary input
-//     without panicking.
-//  2. Round trip: writing the accepted streams with WriteUnifiedEvents
-//     and reading them back yields the same streams, time-ordered the way
-//     the writer orders them.
+//  1. ValidateChromeTrace returns (count, error) for arbitrary input
+//     without panicking, and the count of an accepted trace is the number
+//     of records in its traceEvents array.
+//  2. Writer and reader agree: events built from the same bytes, written
+//     with WriteChromeTrace, validate with one record per event plus the
+//     process and thread metadata, and the writer is deterministic.
 func FuzzReadUnifiedEvents(f *testing.F) {
-	valid := EventsHeader + "\n" +
-		"t=10 blk Q W req=1 sub=-1 lpn=42 pages=8\n" +
-		"t=50 obs span comp=runner name=\"fault cycle\" val=3 dur=200\n" +
-		"t=220 blk C W req=1 sub=0 lpn=42 pages=8\n"
+	var valid bytes.Buffer
+	if err := WriteChromeTrace(&valid, []Process{{Name: "item-0", Events: []Event{
+		{At: 100, Dur: 800, Kind: KindBlockIO, Comp: "blk", Name: "W", Value: 9},
+		{At: 1000, Kind: KindPower, Comp: "power", Name: "rack0", Value: 1},
+		{At: 2000, Dur: 500, Kind: KindTxn, Comp: "txn", Name: "commit", Value: 17},
+		{At: 2500, Kind: KindQueueDepth, Comp: "blockdev", Name: "inflight", Value: 3},
+	}}}); err != nil {
+		f.Fatal(err)
+	}
 	seeds := []string{
 		"",
-		EventsHeader + "\n",
-		valid,
-		"# powerfail-events v99\n",
-		"0.000000010 Q R req=1 sub=-1 lpn=1 pages=1\n", // pre-v2 headerless format
-		EventsHeader + "\nt=0 \xa9\xef\x8c",            // token Sscanf reads as U+FFFD
-		EventsHeader + "\nt=1 obs power comp=p name=\"a\\\"b\" val=-1 dur=0\n",
-		EventsHeader + "\nt=1 xyz\n",
+		"{}",
+		valid.String(),
+		`{"traceEvents":[]}`,
+		`{"traceEvents":null}`,
+		`[1,2]`,
+		`{"traceEvents":[1]}`,
+		`{"traceEvents":[{"ph":"Z","name":"x","ts":0,"pid":1,"tid":1}]}`,
+		`{"traceEvents":[{"ph":"X","name":"x","ts":-1,"pid":1,"tid":1}]}`,
+		`{"traceEvents":[{"ph":"X","name":"x","ts":0,"dur":"1","pid":1,"tid":1}]}`,
+		`{"traceEvents":[{"ph":"i","name":"x","ts":0,"pid":1}]}`,
 	}
-	for i := len(EventsHeader) + 1; i < len(valid); i += 5 {
-		mut := []byte(valid)
-		mut[i] ^= 0x20
+	// One flipped bit at each of evenly spaced offsets of the valid trace.
+	const mutants = 26
+	for k := 0; k < mutants; k++ {
+		mut := append([]byte(nil), valid.Bytes()...)
+		mut[k*len(mut)/mutants] ^= 0x20
 		seeds = append(seeds, string(mut))
 	}
 	for _, s := range seeds {
@@ -43,27 +53,64 @@ func FuzzReadUnifiedEvents(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		events, blk, err := ReadUnifiedEvents(bytes.NewReader(b))
-		if err != nil {
-			return // rejected input: blkreport reports the line and exits
+		if n, err := ValidateChromeTrace(bytes.NewReader(b)); err == nil {
+			var doc struct {
+				TraceEvents []json.RawMessage `json:"traceEvents"`
+			}
+			if err := json.NewDecoder(bytes.NewReader(b)).Decode(&doc); err != nil {
+				t.Fatalf("accepted trace does not decode: %v", err)
+			}
+			if n != len(doc.TraceEvents) {
+				t.Fatalf("validated %d events, the array holds %d", n, len(doc.TraceEvents))
+			}
 		}
-		var buf bytes.Buffer
-		if err := WriteUnifiedEvents(&buf, events, blk); err != nil {
+
+		events, comps := eventsOf(b)
+		procs := []Process{{Name: "fuzz", Events: events}}
+		var out, again bytes.Buffer
+		if err := WriteChromeTrace(&out, procs); err != nil {
 			t.Fatal(err)
 		}
-		events2, blk2, err := ReadUnifiedEvents(bytes.NewReader(buf.Bytes()))
+		if err := WriteChromeTrace(&again, procs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatal("chrome export is not deterministic")
+		}
+		n, err := ValidateChromeTrace(bytes.NewReader(out.Bytes()))
 		if err != nil {
-			t.Fatalf("re-encoded log rejected: %v\n%s", err, buf.String())
+			t.Fatalf("written trace rejected: %v\n%s", err, out.String())
 		}
-		wantEvents := append([]Event(nil), events...)
-		SortEvents(wantEvents)
-		wantBlk := append([]blktrace.Event(nil), blk...)
-		sort.SliceStable(wantBlk, func(i, j int) bool { return wantBlk[i].At < wantBlk[j].At })
-		if !reflect.DeepEqual(events2, wantEvents) {
-			t.Fatalf("obs events changed in round trip:\n got %+v\nwant %+v", events2, wantEvents)
-		}
-		if !reflect.DeepEqual(blk2, wantBlk) {
-			t.Fatalf("blk events changed in round trip:\n got %+v\nwant %+v", blk2, wantBlk)
+		if want := 1 + comps + len(events); n != want {
+			t.Fatalf("validated %d events, want %d:\n%s", n, want, out.String())
 		}
 	})
+}
+
+// eventsOf builds a trace from fuzz bytes, four bytes per event: kind,
+// component, time step and duration. Times never move backward and
+// durations are non-negative, as on the simulated clock. Names are never
+// empty; one of them is the input itself, so the JSON escaping of
+// arbitrary bytes is exercised. It returns the events and the number of
+// distinct components they use.
+func eventsOf(b []byte) ([]Event, int) {
+	compNames := []string{"blk", "power", "txn", "blockdev"}
+	names := []string{"R", "commit", `a"b`, "\u00e9", string(b) + "."}
+	var events []Event
+	used := map[string]bool{}
+	var at sim.Time
+	for i := 0; i+4 <= len(b); i += 4 {
+		at += sim.Time(b[i+2]%4) * 1000
+		comp := compNames[int(b[i+1])%len(compNames)]
+		used[comp] = true
+		events = append(events, Event{
+			At:    at,
+			Dur:   sim.Duration(b[i+3]) * 10,
+			Kind:  Kind(b[i] % byte(len(kindNames)+1)),
+			Comp:  comp,
+			Name:  names[int(b[i]>>4)%len(names)],
+			Value: int64(b[i+3]) - 128,
+		})
+	}
+	return events, len(used)
 }
