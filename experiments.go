@@ -916,7 +916,7 @@ func DischargeCurve(withSSD bool, step, horizon sim.Duration) (curve []VoltagePo
 		panic(err)
 	}
 	if withSSD {
-		psu.Connect("ssd", ssd.ProfileA().LoadOhms)
+		psu.Connect("ssd", ssd.LoadOhms)
 	}
 	psu.PowerOff()
 	cut := k.Now()

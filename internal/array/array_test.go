@@ -17,7 +17,6 @@ func smallSSD() ssd.Profile {
 	p := ssd.ProfileA()
 	p.CapacityGB = 1
 	p.Channels = 4
-	p.Dies = 4
 	return p.Normalize()
 }
 

@@ -14,7 +14,6 @@ func memberProfile() ssd.Profile {
 	p := ssd.ProfileA()
 	p.CapacityGB = 1
 	p.Channels = 4
-	p.Dies = 4
 	return p
 }
 

@@ -60,7 +60,6 @@ type page struct {
 type block struct {
 	pages      []page
 	eraseCount int
-	readCount  int64 // reads since the last erase (read disturb)
 	nextPage   int
 	needsErase bool // set when an erase was interrupted
 }
@@ -80,9 +79,6 @@ type Config struct {
 	WearBERMult float64
 	// EnduranceCycles is the rated program/erase endurance per block.
 	EnduranceCycles int
-	// ReadDisturbBER is the extra raw bit error rate accumulated per
-	// 100,000 reads of a block since its last erase (read disturb).
-	ReadDisturbBER float64
 }
 
 // DefaultBER returns a plausible raw bit error rate for the technology.
@@ -200,14 +196,6 @@ func (c *Chip) EraseCount(blockIdx int) int {
 		return 0
 	}
 	return c.blocks[blockIdx].eraseCount
-}
-
-// ReadCount returns the reads a block has absorbed since its last erase.
-func (c *Chip) ReadCount(blockIdx int) int64 {
-	if c.blocks[blockIdx] == nil {
-		return 0
-	}
-	return c.blocks[blockIdx].readCount
 }
 
 // NextPage returns the program pointer of a block (the only page index a
@@ -346,7 +334,6 @@ func (c *Chip) Erase(blockIdx int) error {
 	}
 	b.nextPage = 0
 	b.eraseCount++
-	b.readCount = 0
 	b.needsErase = false
 	c.stats.Erases++
 	return nil
@@ -417,7 +404,6 @@ func (c *Chip) Read(p addr.PPN) (ReadResult, error) {
 	if b == nil {
 		return ReadResult{FP: content.Zero, Status: ReadClean}, nil
 	}
-	b.readCount++
 	pg := &b.pages[g.PageOf(p)]
 	if pg.state == PageErased {
 		return ReadResult{FP: content.Zero, Status: ReadClean}, nil
@@ -445,6 +431,5 @@ func (c *Chip) Read(p addr.PPN) (ReadResult, error) {
 func (c *Chip) effectiveBER(b *block, pg *page) float64 {
 	wear := float64(b.eraseCount) / float64(c.cfg.EnduranceCycles)
 	ber := c.cfg.BaseBER * (1 + c.cfg.WearBERMult*wear)
-	ber += c.cfg.ReadDisturbBER * float64(b.readCount) / 1e5
 	return ber + pg.severity
 }

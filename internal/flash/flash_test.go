@@ -324,41 +324,6 @@ func TestWearRaisesBER(t *testing.T) {
 	}
 }
 
-// TestReadDisturbAccumulates: heavy re-reading of a block raises its raw
-// error rate until ECC gives up; an erase resets the disturb counter.
-func TestReadDisturbAccumulates(t *testing.T) {
-	c := testChip(t, func(cfg *Config) {
-		cfg.BaseBER = 1e-7
-		cfg.ReadDisturbBER = 2.0 // absurdly strong so few reads suffice
-	})
-	if err := c.Program(0, 0x42); err != nil {
-		t.Fatal(err)
-	}
-	unc := false
-	for i := 0; i < 5000 && !unc; i++ {
-		res, _ := c.Read(0)
-		unc = res.Status == ReadUncorrectable
-	}
-	if !unc {
-		t.Fatal("read disturb never overwhelmed ECC")
-	}
-	if c.ReadCount(0) == 0 {
-		t.Fatal("read counter not tracked")
-	}
-	if err := c.Erase(0); err != nil {
-		t.Fatal(err)
-	}
-	if c.ReadCount(0) != 0 {
-		t.Fatal("erase did not reset the disturb counter")
-	}
-	if err := c.Program(0, 0x42); err != nil {
-		t.Fatal(err)
-	}
-	if res, _ := c.Read(0); res.Status == ReadUncorrectable {
-		t.Fatal("fresh block already uncorrectable")
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	c := testChip(t, nil)
 	c.Program(0, 1)

@@ -23,35 +23,29 @@ type MemberProfile struct {
 	// Pages is the drive capacity in 4 KiB pages (default 4096 = 16 MiB,
 	// small so rebuild windows stay observable in short experiments).
 	Pages int64 `json:"pages"`
-	// IOLatency is the fixed per-request overhead (default 150 µs).
-	IOLatency sim.Duration `json:"io_latency_ns"`
-	// PageTime is the transfer time per 4 KiB page (default 8 µs,
-	// ~500 MB/s sequential).
-	PageTime sim.Duration `json:"page_time_ns"`
-	// ReadyDelay is the spin-up time after power returns (default 1.5 s).
-	ReadyDelay sim.Duration `json:"ready_delay_ns"`
 }
+
+// Member service calibration, shared by every fleet drive.
+const (
+	// ioLatency is the fixed per-request overhead.
+	ioLatency = 150 * sim.Microsecond
+	// pageTime is the transfer time per 4 KiB page (~500 MB/s sequential).
+	pageTime = 8 * sim.Microsecond
+	// readyDelay is the spin-up time after power returns.
+	readyDelay = 1500 * sim.Millisecond
+)
 
 func (p MemberProfile) withDefaults() MemberProfile {
 	if p.Pages == 0 {
 		p.Pages = 4096
-	}
-	if p.IOLatency == 0 {
-		p.IOLatency = 150 * sim.Microsecond
-	}
-	if p.PageTime == 0 {
-		p.PageTime = 8 * sim.Microsecond
-	}
-	if p.ReadyDelay == 0 {
-		p.ReadyDelay = 1500 * sim.Millisecond
 	}
 	return p
 }
 
 // Validate checks the profile.
 func (p MemberProfile) Validate() error {
-	if p.Pages < 0 || p.IOLatency < 0 || p.PageTime < 0 || p.ReadyDelay < 0 {
-		return fmt.Errorf("fleet: member profile values must be non-negative: %+v", p)
+	if p.Pages < 0 {
+		return fmt.Errorf("fleet: member Pages must be non-negative, got %d", p.Pages)
 	}
 	return nil
 }
@@ -226,7 +220,7 @@ func (m *Member) onPower(on bool) {
 	if on {
 		m.powered = true
 		gen := m.gen
-		m.k.After(m.prof.ReadyDelay, func() {
+		m.k.After(readyDelay, func() {
 			if !m.powered || m.gen != gen {
 				return // another outage intervened during spin-up
 			}
@@ -250,7 +244,7 @@ func (m *Member) onPower(on bool) {
 }
 
 // Submit implements blockdev.Device: a single-server queue in which each
-// request occupies the drive for IOLatency + pages·PageTime after the
+// request occupies the drive for ioLatency + pages·pageTime after the
 // previous request finishes. Requests caught by a power cut complete with
 // ErrMemberDown at their scheduled instant, like a died-mid-flight drive.
 func (m *Member) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data)) {
@@ -266,7 +260,7 @@ func (m *Member) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 	if m.nextFree > start {
 		start = m.nextFree
 	}
-	finish := start.Add(m.prof.IOLatency + sim.Duration(pages)*m.prof.PageTime)
+	finish := start.Add(ioLatency + sim.Duration(pages)*pageTime)
 	m.nextFree = finish
 	m.k.At(finish, m.getSvc(op, pages, m.gen, done).fn)
 }

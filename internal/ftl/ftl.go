@@ -47,7 +47,7 @@ type Config struct {
 	ScanWindowPages int
 }
 
-// DefaultConfig returns the policy defaults used by the stock profiles.
+// DefaultConfig returns the mapping policy every stock drive profile runs.
 func DefaultConfig(userPages int64, lanes int) Config {
 	return Config{
 		UserPages:         userPages,
@@ -55,8 +55,8 @@ func DefaultConfig(userPages int64, lanes int) Config {
 		GCLowBlocks:       4,
 		GCHighBlocks:      8,
 		JournalBatchPages: 256,
-		RunMaxPages:       1024,
-		RunStaleAfter:     200 * sim.Millisecond,
+		RunMaxPages:       384,
+		RunStaleAfter:     250 * sim.Millisecond,
 		ScanWindowPages:   64,
 	}
 }

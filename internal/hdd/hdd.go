@@ -21,48 +21,33 @@ import (
 	"powerfail/internal/sim"
 )
 
-// Profile describes the drive's mechanics.
+// Profile names a drive and sizes it. The mechanics and electrical
+// behaviour below are shared by every HDD.
 type Profile struct {
 	Name       string
 	CapacityGB int
-	// RPM sets the rotational latency (half a revolution on average).
-	RPM int
-	// AvgSeek is the average seek time.
-	AvgSeek sim.Duration
-	// MediaBytesPerSec is the sustained transfer rate at the platter.
-	MediaBytesPerSec float64
-	// WriteCache enables the small volatile write buffer most desktop
-	// drives ship with (the paper-relevant risk knob).
-	WriteCache      bool
-	WriteCachePages int
-	// BrownoutVolts drops the host link, as for the SSDs.
-	BrownoutVolts float64
-	LoadOhms      float64
-	FailFast      sim.Duration
-	RecoveryTime  sim.Duration
 }
 
-// DefaultProfile is a 7200 RPM desktop drive with its write cache off
-// (write-through), the configuration that makes HDDs power-fault tolerant.
+// Drive calibration: a 7200 RPM desktop drive.
+const (
+	avgSeek          = 8 * sim.Millisecond
+	rotHalf          = 30 * sim.Second / 7200 // half a revolution at 7200 RPM
+	mediaBytesPerSec = 150e6                  // sustained platter transfer rate
+	// brownoutVolts drops the host link, as for the SSDs.
+	brownoutVolts = 4.5
+	loadOhms      = 30
+	failFast      = 500 * sim.Microsecond
+	recoveryTime  = 2 * sim.Second // spin-up
+)
+
+// DefaultProfile is the 500 GB desktop drive.
 func DefaultProfile() Profile {
-	return Profile{
-		Name:             "HDD",
-		CapacityGB:       500,
-		RPM:              7200,
-		AvgSeek:          8 * sim.Millisecond,
-		MediaBytesPerSec: 150e6,
-		WriteCache:       false,
-		WriteCachePages:  2048,
-		BrownoutVolts:    4.5,
-		LoadOhms:         30,
-		FailFast:         500 * sim.Microsecond,
-		RecoveryTime:     2 * sim.Second, // spin-up
-	}
+	return Profile{Name: "HDD", CapacityGB: 500}
 }
 
 // Validate checks the profile.
 func (p Profile) Validate() error {
-	if p.CapacityGB <= 0 || p.RPM <= 0 || p.MediaBytesPerSec <= 0 {
+	if p.CapacityGB <= 0 {
 		return fmt.Errorf("hdd: bad profile %+v", p)
 	}
 	return nil
@@ -70,10 +55,6 @@ func (p Profile) Validate() error {
 
 // UserPages returns the exported capacity in 4 KiB pages.
 func (p Profile) UserPages() int64 { return int64(p.CapacityGB) << 30 >> addr.PageShift }
-
-func (p Profile) rotHalf() sim.Duration {
-	return sim.Duration(30.0 / float64(p.RPM) * 1e9) // half a revolution
-}
 
 // ErrUnavailable mirrors the SSD error for a drive below brownout.
 var ErrUnavailable = errors.New("hdd: device unavailable")
@@ -84,9 +65,11 @@ type Stats struct {
 	Writes      int64
 	Errors      int64
 	TornSectors int64
-	CacheLost   int64
-	Deaths      int64
-	Recoveries  int64
+	// CacheLost is always 0: the drive is write-through. The field keeps
+	// the report layout.
+	CacheLost  int64
+	Deaths     int64
+	Recoveries int64
 }
 
 // Disk is the drive. Sector contents are fingerprints, like the SSD model.
@@ -96,8 +79,6 @@ type Disk struct {
 	prof Profile
 
 	media map[addr.LPN]content.Fingerprint
-	// cacheQ holds volatile write-cache entries awaiting the platter.
-	cacheQ []cacheEnt
 
 	available bool
 	busyUntil sim.Time
@@ -109,11 +90,6 @@ type Disk struct {
 
 	readyListeners []func()
 	downListeners  []func()
-}
-
-type cacheEnt struct {
-	lpn addr.LPN
-	fp  content.Fingerprint
 }
 
 type writeJob struct {
@@ -139,15 +115,12 @@ func New(k *sim.Kernel, r *sim.RNG, prof Profile, psu *power.PSU) (*Disk, error)
 		available: true,
 	}
 	if psu != nil {
-		psu.Connect("hdd-"+prof.Name, prof.LoadOhms)
-		psu.NotifyBelow(prof.BrownoutVolts, d.onPowerLoss)
-		psu.NotifyAbove(prof.BrownoutVolts+0.25, d.onPowerGood)
+		psu.Connect("hdd-"+prof.Name, loadOhms)
+		psu.NotifyBelow(brownoutVolts, d.onPowerLoss)
+		psu.NotifyAbove(brownoutVolts+0.25, d.onPowerGood)
 	}
 	return d, nil
 }
-
-// Profile returns the drive profile.
-func (d *Disk) Profile() Profile { return d.prof }
 
 // Name implements blockdev.Drive.
 func (d *Disk) Name() string { return d.prof.Name }
@@ -157,9 +130,6 @@ func (d *Disk) UserPages() int64 { return d.prof.UserPages() }
 
 // Stats returns the counters.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// Available reports whether the drive answers the host.
-func (d *Disk) Available() bool { return d.available }
 
 // Ready implements blockdev.Drive.
 func (d *Disk) Ready() bool { return d.available }
@@ -183,16 +153,16 @@ func (d *Disk) serviceStart() sim.Time {
 func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data, done func(err error, result content.Data)) {
 	if !d.available {
 		d.stats.Errors++
-		d.k.After(d.prof.FailFast, func() { done(ErrUnavailable, content.Data{}) })
+		d.k.After(failFast, func() { done(ErrUnavailable, content.Data{}) })
 		return
 	}
 	if lpn < 0 || int64(lpn)+int64(pages) > d.prof.UserPages() {
 		d.stats.Errors++
-		d.k.After(d.prof.FailFast, func() { done(errors.New("hdd: out of range"), content.Data{}) })
+		d.k.After(failFast, func() { done(errors.New("hdd: out of range"), content.Data{}) })
 		return
 	}
-	mech := d.prof.AvgSeek + d.prof.rotHalf()
-	xfer := sim.Duration(float64(pages*addr.PageBytes) / d.prof.MediaBytesPerSec * 1e9)
+	mech := avgSeek + rotHalf
+	xfer := sim.Duration(float64(pages*addr.PageBytes) / mediaBytesPerSec * 1e9)
 	start := d.serviceStart().Add(mech)
 	switch op {
 	case blockdev.OpRead:
@@ -204,21 +174,10 @@ func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data
 			}
 			d.stats.Reads++
 			done(nil, content.Gather(pages, func(i int) content.Fingerprint {
-				return d.readPage(lpn + addr.LPN(i))
+				return d.media[lpn+addr.LPN(i)]
 			}))
 		})
 	case blockdev.OpWrite:
-		if d.prof.WriteCache && len(d.cacheQ)+pages <= d.prof.WriteCachePages {
-			// Volatile buffer: instant ACK, platter catches up lazily.
-			for i := 0; i < pages; i++ {
-				d.cacheQ = append(d.cacheQ, cacheEnt{lpn + addr.LPN(i), data.Page(i)})
-			}
-			d.busyUntil = start.Add(xfer)
-			d.k.At(d.busyUntil, func() { d.drainCache(pages) })
-			d.k.After(100*sim.Microsecond, func() { done(nil, content.Data{}) })
-			d.stats.Writes++
-			return
-		}
 		// Write-through: the head commits sector by sector; completion
 		// and ACK coincide.
 		job := &writeJob{
@@ -238,41 +197,12 @@ func (d *Disk) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Data
 			done(nil, content.Data{})
 		})
 	default: // flush
-		d.k.After(d.prof.FailFast, func() {
-			d.cacheQ = d.flushAll()
-			done(nil, content.Data{})
-		})
+		d.k.After(failFast, func() { done(nil, content.Data{}) })
 	}
-}
-
-func (d *Disk) readPage(lpn addr.LPN) content.Fingerprint {
-	// The volatile buffer is readable while powered.
-	for i := len(d.cacheQ) - 1; i >= 0; i-- {
-		if d.cacheQ[i].lpn == lpn {
-			return d.cacheQ[i].fp
-		}
-	}
-	return d.media[lpn]
-}
-
-func (d *Disk) drainCache(n int) {
-	for i := 0; i < n && len(d.cacheQ) > 0; i++ {
-		e := d.cacheQ[0]
-		d.cacheQ = d.cacheQ[1:]
-		d.media[e.lpn] = e.fp
-	}
-}
-
-func (d *Disk) flushAll() []cacheEnt {
-	for _, e := range d.cacheQ {
-		d.media[e.lpn] = e.fp
-	}
-	return nil
 }
 
 // onPowerLoss models the cut: the sector under the head right now is
-// torn; any volatile write-cache content is gone; the drive drops off the
-// bus until power and spin-up return.
+// torn, and the drive drops off the bus until power and spin-up return.
 func (d *Disk) onPowerLoss() {
 	// A cut during spin-up aborts the recovery; the drive stays off the
 	// bus until the next power-good restarts it.
@@ -305,8 +235,6 @@ func (d *Disk) onPowerLoss() {
 		// The host never hears the ACK; its block layer errors/times out.
 		d.cur = nil
 	}
-	d.stats.CacheLost += int64(len(d.cacheQ))
-	d.cacheQ = nil
 	d.busyUntil = 0
 }
 
@@ -314,7 +242,7 @@ func (d *Disk) onPowerGood() {
 	if d.available || d.spinup.Pending() {
 		return
 	}
-	d.spinup = d.k.After(d.prof.RecoveryTime, func() {
+	d.spinup = d.k.After(recoveryTime, func() {
 		d.spinup = sim.Timer{}
 		d.available = true
 		d.stats.Recoveries++

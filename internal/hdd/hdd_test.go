@@ -91,7 +91,7 @@ func TestWriteThroughSurvivesPowerLoss(t *testing.T) {
 	r.k.RunFor(2 * sim.Second)
 	r.psu.PowerOn()
 	r.k.RunFor(3 * sim.Second) // spin-up
-	if !r.disk.Available() {
+	if !r.disk.Ready() {
 		t.Fatal("disk never recovered")
 	}
 	got, err := r.read(t, 50, 16)
@@ -146,33 +146,6 @@ func TestTornSectorOnCut(t *testing.T) {
 	}
 }
 
-// TestWriteCacheLosesDataLikeSSDs: enabling the HDD's volatile write
-// buffer reintroduces the SSD-style FWA failure mode.
-func TestWriteCacheLosesDataLikeSSDs(t *testing.T) {
-	prof := DefaultProfile()
-	prof.WriteCache = true
-	r := newRig(t, prof)
-	payload := content.Random(sim.NewRNG(7), 8)
-	if err := r.write(t, 10, payload); err != nil {
-		t.Fatal(err)
-	}
-	// ACK arrived (cache); cut before the platter catches up.
-	r.psu.PowerOff()
-	r.k.RunFor(2 * sim.Second)
-	r.psu.PowerOn()
-	r.k.RunFor(3 * sim.Second)
-	got, err := r.read(t, 10, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Equal(payload) {
-		t.Skip("platter caught up before the cut on this timing")
-	}
-	if r.disk.Stats().CacheLost == 0 {
-		t.Fatal("no cache loss recorded")
-	}
-}
-
 func TestUnavailableFailsFast(t *testing.T) {
 	r := newRig(t, DefaultProfile())
 	r.psu.PowerOff()
@@ -185,7 +158,7 @@ func TestUnavailableFailsFast(t *testing.T) {
 
 func TestOutOfRange(t *testing.T) {
 	r := newRig(t, DefaultProfile())
-	if err := r.write(t, addr.LPN(r.disk.Profile().UserPages()), content.Random(sim.NewRNG(8), 1)); err == nil {
+	if err := r.write(t, addr.LPN(r.disk.UserPages()), content.Random(sim.NewRNG(8), 1)); err == nil {
 		t.Fatal("out-of-range write accepted")
 	}
 }
@@ -209,18 +182,18 @@ func TestCutDuringSpinUpAbortsRecovery(t *testing.T) {
 	r.psu.PowerOff()
 	r.k.RunFor(2 * sim.Second)
 	r.psu.PowerOn()
-	r.k.RunFor(500 * sim.Millisecond) // mid spin-up (RecoveryTime is 2 s)
+	r.k.RunFor(500 * sim.Millisecond) // mid spin-up (spin-up takes 2 s)
 	r.psu.PowerOff()
 	r.k.RunFor(5 * sim.Second)
-	if r.disk.Available() {
+	if r.disk.Ready() {
 		t.Fatal("drive became available with the rail down")
 	}
 	ready := false
 	r.disk.NotifyReady(func() { ready = true })
 	r.psu.PowerOn()
 	r.k.RunFor(3 * sim.Second)
-	if !r.disk.Available() || !ready {
+	if !r.disk.Ready() || !ready {
 		t.Fatalf("drive never recovered after the real power-good (available=%v ready=%v)",
-			r.disk.Available(), ready)
+			r.disk.Ready(), ready)
 	}
 }

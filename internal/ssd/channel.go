@@ -5,7 +5,6 @@ import (
 
 	"powerfail/internal/addr"
 	"powerfail/internal/content"
-	"powerfail/internal/flash"
 	"powerfail/internal/ftl"
 	"powerfail/internal/sim"
 )
@@ -31,7 +30,6 @@ type pageOp struct {
 	from   addr.PPN   // move source
 	rdIdx  int        // read destination index
 	rdDst  []content.Fingerprint
-	cmd    *command // read error propagation
 }
 
 // chItem is a batch executed back-to-back on one channel. A power cut
@@ -131,10 +129,6 @@ func (d *Device) applyOp(op *pageOp, kind itemKind) {
 		res, err := d.chip.Read(op.ppn)
 		must(err)
 		op.rdDst[op.rdIdx] = res.FP
-		if res.Status == flash.ReadUncorrectable && d.prof.UncorrectableAsError &&
-			op.cmd != nil && op.cmd.err == nil {
-			op.cmd.err = ErrUncorrectable
-		}
 		d.stats.PagesRead++
 	case itemMeta:
 		// Durability happens in onDone via CommitJournal.

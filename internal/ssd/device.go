@@ -3,7 +3,6 @@ package ssd
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"powerfail/internal/addr"
 	"powerfail/internal/blockdev"
@@ -46,9 +45,8 @@ func (s State) String() string {
 
 // Errors surfaced to the host.
 var (
-	ErrUnavailable   = errors.New("ssd: device unavailable")
-	ErrUncorrectable = errors.New("ssd: uncorrectable read error")
-	ErrNoSpace       = errors.New("ssd: no space")
+	ErrUnavailable = errors.New("ssd: device unavailable")
+	ErrNoSpace     = errors.New("ssd: no space")
 )
 
 // Stats counts device activity across the experiment.
@@ -81,7 +79,6 @@ type command struct {
 	done     func(error, content.Data)
 	result   []content.Fingerprint
 	parts    int
-	err      error
 	finished bool
 }
 
@@ -152,17 +149,14 @@ func New(k *sim.Kernel, r *sim.RNG, prof Profile, psu *power.PSU) (*Device, erro
 		d.channels[i] = &channel{idx: i}
 	}
 	if psu != nil {
-		psu.Connect("ssd-"+prof.Name, prof.LoadOhms)
-		psu.NotifyBelow(prof.BrownoutVolts, d.onBrownout)
-		psu.NotifyBelow(prof.DieVolts, d.onDie)
-		psu.NotifyAbove(prof.BrownoutVolts+0.25, d.onPowerGood)
+		psu.Connect("ssd-"+prof.Name, LoadOhms)
+		psu.NotifyBelow(brownoutVolts, d.onBrownout)
+		psu.NotifyBelow(dieVolts, d.onDie)
+		psu.NotifyAbove(brownoutVolts+0.25, d.onPowerGood)
 	}
 	d.startJournalTick()
 	return d, nil
 }
-
-// Profile returns the normalized drive profile.
-func (d *Device) Profile() Profile { return d.prof }
 
 // Name implements blockdev.Drive.
 func (d *Device) Name() string { return d.prof.Name }
@@ -223,12 +217,12 @@ func (d *Device) Submit(op blockdev.Op, lpn addr.LPN, pages int, data content.Da
 	cmd := &command{op: op, lpn: lpn, pages: pages, data: data, done: done}
 	if lpn < 0 || int64(lpn)+int64(pages) > d.prof.UserPages() {
 		d.stats.HostErrors++
-		d.k.After(d.prof.FailFast, func() { done(ErrOutOfRange, content.Data{}) })
+		d.k.After(failFast, func() { done(ErrOutOfRange, content.Data{}) })
 		return
 	}
 	if d.state != StateReady {
 		d.stats.HostErrors++
-		d.k.After(d.prof.FailFast, func() { done(ErrUnavailable, content.Data{}) })
+		d.k.After(failFast, func() { done(ErrUnavailable, content.Data{}) })
 		return
 	}
 	d.outstanding = append(d.outstanding, cmd)
@@ -278,7 +272,7 @@ func (d *Device) linkTransfer(bytes int64, fn func()) {
 	if d.linkBusyUntil > start {
 		start = d.linkBusyUntil
 	}
-	dur := d.prof.CmdOverhead + sim.Duration(float64(bytes)/d.prof.LinkBytesPerSec*1e9)
+	dur := cmdOverhead + sim.Duration(float64(bytes)/linkBytesPerSec*1e9)
 	d.linkBusyUntil = start.Add(dur)
 	d.k.At(d.linkBusyUntil, fn)
 }
@@ -307,7 +301,7 @@ func (d *Device) insertWrite(cmd *command, from int) {
 		return
 	}
 	for i := from; i < cmd.pages; i++ {
-		if d.cache.DirtyPages() >= d.prof.DirtyCapPages || !d.cache.Write(cmd.lpn+addr.LPN(i), cmd.data.Page(i)) {
+		if d.cache.DirtyPages() >= dirtyCapPages || !d.cache.Write(cmd.lpn+addr.LPN(i), cmd.data.Page(i)) {
 			// Write backpressure: drain immediately and retry once the
 			// flusher has retired pages.
 			d.stats.CacheStalls++
@@ -352,7 +346,7 @@ func (d *Device) writeThrough(cmd *command) {
 		d.enqueue(ch, &chItem{kind: itemProgram, ops: ops, perPage: per, onDone: func() {
 			cmd.parts--
 			if cmd.parts == 0 {
-				d.completeCmd(cmd, cmd.err)
+				d.completeCmd(cmd, nil)
 			}
 			d.afterBackgroundWork()
 		}})
@@ -391,7 +385,7 @@ func (d *Device) resolveRead(cmd *command) {
 			continue
 		}
 		ch := d.channelOf(ppn)
-		groups[ch] = append(groups[ch], pageOp{ppn: ppn, rdIdx: i, rdDst: cmd.result, cmd: cmd})
+		groups[ch] = append(groups[ch], pageOp{ppn: ppn, rdIdx: i, rdDst: cmd.result})
 		flashPages++
 	}
 	if flashPages == 0 {
@@ -403,7 +397,7 @@ func (d *Device) resolveRead(cmd *command) {
 			continue
 		}
 		cmd.parts++
-		d.enqueue(ch, &chItem{kind: itemRead, ops: ops, perPage: d.prof.Timing.ReadPage, onDone: func() {
+		d.enqueue(ch, &chItem{kind: itemRead, ops: ops, perPage: d.chip.Timing().ReadPage, onDone: func() {
 			cmd.parts--
 			if cmd.parts == 0 {
 				d.respondRead(cmd)
@@ -417,14 +411,14 @@ func (d *Device) respondRead(cmd *command) {
 		return
 	}
 	d.linkTransfer(int64(cmd.pages)*addr.PageBytes, func() {
-		d.completeCmd(cmd, cmd.err)
+		d.completeCmd(cmd, nil)
 	})
 }
 
 // --- flush command ---
 
 func (d *Device) startFlush(cmd *command) {
-	d.k.After(d.prof.CmdOverhead, func() {
+	d.k.After(cmdOverhead, func() {
 		if cmd.finished {
 			return
 		}
@@ -443,7 +437,7 @@ func (d *Device) scheduleFlushTick() {
 	if d.cache == nil || d.flushTimer.Pending() || d.state == StateDead || d.state == StateRecovering {
 		return
 	}
-	d.flushTimer = d.k.After(d.prof.FlushTick, d.flushTick)
+	d.flushTimer = d.k.After(flushTick, d.flushTick)
 }
 
 func (d *Device) flushTick() {
@@ -457,7 +451,7 @@ func (d *Device) flushTick() {
 		return
 	}
 	idle := d.hasDirtySince && d.k.Now().Sub(d.firstDirtyAt) >= d.prof.FlushIdleAge
-	if queued >= d.prof.FlushHighPages || idle || len(d.flushWaiters) > 0 {
+	if queued >= flushHighPages || idle || len(d.flushWaiters) > 0 {
 		d.drainCache()
 	}
 	d.scheduleFlushTick()
@@ -470,7 +464,7 @@ func (d *Device) drainCache() {
 		return
 	}
 	for {
-		ents := d.cache.PopDirty(d.prof.FlushBatchPages)
+		ents := d.cache.PopDirty(flushBatchPages)
 		if len(ents) == 0 {
 			break
 		}
@@ -612,7 +606,7 @@ func (d *Device) gcStep() {
 			continue
 		}
 		parts++
-		d.enqueue(ch, &chItem{kind: itemRead, ops: ops, perPage: d.prof.Timing.ReadPage, onDone: onReads})
+		d.enqueue(ch, &chItem{kind: itemRead, ops: ops, perPage: d.chip.Timing().ReadPage, onDone: onReads})
 	}
 }
 
@@ -654,7 +648,7 @@ func (d *Device) gcProgram(plan *ftl.GCPlan, fps []content.Fingerprint) {
 
 func (d *Device) gcErase(victim int) {
 	ch := victim % len(d.channels)
-	d.enqueue(ch, &chItem{kind: itemErase, block: victim, perPage: d.prof.Timing.EraseBlock, onDone: func() {
+	d.enqueue(ch, &chItem{kind: itemErase, block: victim, perPage: d.chip.Timing().EraseBlock, onDone: func() {
 		d.ftlm.GCFinish(victim)
 		d.gcStep()
 	}})
@@ -680,31 +674,16 @@ func (d *Device) onBrownout() {
 	// the decaying rail until the die voltage.
 	pending := make([]*command, len(d.outstanding))
 	copy(pending, d.outstanding)
-	d.k.After(d.prof.LinkDownDetect, func() {
+	d.k.After(linkDownDetect, func() {
 		for _, cmd := range pending {
 			d.completeCmd(cmd, ErrUnavailable)
 		}
 	})
-	if d.prof.SuperCap {
-		// Power-loss protection starts its panic flush immediately at
-		// brownout; the supercap guarantees completion (modelled as
-		// finishing at the die instant in supercapComplete).
-		return
-	}
 }
 
 func (d *Device) onDie() {
 	if d.state == StateDead {
 		return
-	}
-	if os.Getenv("PFDEBUG") != "" {
-		q, fl := 0, 0
-		if d.cache != nil {
-			q = d.cache.QueuedDirty()
-			fl = d.cache.DirtyPages() - q
-		}
-		fmt.Printf("DIE t=%s queued=%d flushing=%d pendingRec=%d openRun=%d\n",
-			d.k.Now(), q, fl, d.ftlm.PendingRecords(), d.ftlm.OpenRunLen())
 	}
 	d.stats.Deaths++
 	if d.prof.SuperCap {
@@ -744,7 +723,7 @@ func (d *Device) onPowerGood() {
 	d.state = StateRecovering
 	d.stats.Recoveries++
 	d.linkBusyUntil = 0
-	dur := d.prof.RecoveryBase + d.ftlm.RecoverDuration()
+	dur := recoveryBase + d.ftlm.RecoverDuration()
 	d.recoveryTimer = d.k.After(dur, func() {
 		d.recoveryTimer = sim.Timer{}
 		d.state = StateReady

@@ -16,12 +16,13 @@ import (
 	"powerfail/internal/sim"
 )
 
-// Profile describes one drive model, mirroring and extending the paper's
-// Table I. Zero values for advanced fields are filled in by Normalize.
+// Profile describes one drive model: the paper's Table I columns plus
+// the few controller settings that differ between the stock drives. Every
+// other calibration value is a package constant shared by all drives.
+// Zero values are filled in by Normalize.
 type Profile struct {
 	// Identity (Table I columns).
 	Name        string
-	Vendor      string
 	CapacityGB  int
 	Interface   string
 	ReleaseYear int
@@ -32,152 +33,77 @@ type Profile struct {
 	// SuperCap marks a high-end drive with power-loss protection.
 	SuperCap bool
 
-	// Flash array.
-	Channels         int
-	Dies             int
-	Planes           int
-	PagesPerBlock    int
-	OverprovisionPct int
-	Timing           flash.Timing
-	BaseBER          float64
-	WearBERMult      float64
-	EnduranceCycles  int
-
-	// Interface timing.
-	LinkBytesPerSec     float64
-	CmdOverhead         sim.Duration
+	// Channels is the flash channel count; each channel drives one die.
+	Channels int
+	// ChanProgBytesPerSec is the effective program bandwidth of one
+	// channel (multi-die pipelining folded into one figure).
 	ChanProgBytesPerSec float64
-
-	// Power behaviour.
-	BrownoutVolts float64 // host link drops below this rail voltage
-	DieVolts      float64 // controller halts below this rail voltage
-	LoadOhms      float64 // drive's equivalent load on the 5 V rail
-
-	// Cache flush policy.
-	DirtyCapPages   int          // write backpressure threshold
-	FlushHighPages  int          // drain when this many pages queue
-	FlushIdleAge    sim.Duration // drain entries older than this
-	FlushTick       sim.Duration
-	FlushBatchPages int
-
-	// Mapping durability policy.
-	JournalTick       sim.Duration
-	JournalBatchPages int
-	RunMaxPages       int
-	RunStaleAfter     sim.Duration
-	ScanWindowPages   int
-
-	// Error reporting: when true, uncorrectable reads return an IO error;
-	// when false (observed on consumer drives and assumed by the paper's
-	// checksum methodology) the drive silently returns corrupted data.
-	UncorrectableAsError bool
-
-	// Recovery.
-	RecoveryBase   sim.Duration
-	LinkDownDetect sim.Duration
-	FailFast       sim.Duration // latency of errors while unavailable
+	// FlushIdleAge drains cache entries older than this.
+	FlushIdleAge sim.Duration
+	// JournalTick is the cadence of the mapping-journal commit check.
+	JournalTick sim.Duration
 }
 
-// Normalize fills zero-valued tuning fields with defaults derived from the
-// identity fields. It returns a copy.
+// Calibration shared by every drive model.
+const (
+	// Flash array geometry.
+	planes           = 2
+	pagesPerBlock    = 256
+	overprovisionPct = 9
+	// wearBERMult scales the raw BER linearly with consumed endurance.
+	wearBERMult = 4
+
+	// Host link: SATA 6 Gb/s payload rate and per-command overhead.
+	linkBytesPerSec = 550e6
+	cmdOverhead     = 30 * sim.Microsecond
+
+	// brownoutVolts drops the host link below this rail voltage.
+	brownoutVolts = 4.5
+	// dieVolts halts the controller. Consumer controllers hold themselves
+	// in reset once the rail sags below the SATA tolerance, only a
+	// whisker under the host brownout point; there is no long grace
+	// window for flushing. The ~1 ms gap between link loss and controller
+	// reset is what leaves programs interrupted mid-ISPP.
+	dieVolts = 4.49
+
+	// Cache flush policy.
+	dirtyCapPages   = 512 // write backpressure threshold
+	flushHighPages  = 128 // drain when this many pages queue
+	flushTick       = 10 * sim.Millisecond
+	flushBatchPages = 64
+
+	// Recovery.
+	recoveryBase   = 50 * sim.Millisecond
+	linkDownDetect = 2 * sim.Millisecond
+	failFast       = 500 * sim.Microsecond // latency of errors while unavailable
+)
+
+// LoadOhms is a drive's equivalent load on the 5 V rail.
+const LoadOhms = 60.5
+
+// Normalize fills zero-valued fields with the stock defaults. It returns
+// a copy.
 func (p Profile) Normalize() Profile {
 	if p.Cell == 0 {
 		p.Cell = flash.MLC
 	}
-	if p.Timing == (flash.Timing{}) {
-		p.Timing = flash.TimingFor(p.Cell)
-	}
 	if p.ECC.CorrectPerKB == 0 {
 		p.ECC = flash.ECCConfig{Scheme: "BCH", CorrectPerKB: 40}
-	}
-	if p.BaseBER == 0 {
-		p.BaseBER = flash.DefaultBER(p.Cell)
-	}
-	if p.WearBERMult == 0 {
-		p.WearBERMult = 4
-	}
-	if p.EnduranceCycles == 0 {
-		p.EnduranceCycles = flash.DefaultEndurance(p.Cell)
 	}
 	if p.Channels == 0 {
 		p.Channels = 8
 	}
-	if p.Dies == 0 {
-		p.Dies = p.Channels
-	}
-	if p.Planes == 0 {
-		p.Planes = 2
-	}
-	if p.PagesPerBlock == 0 {
-		p.PagesPerBlock = 256
-	}
-	if p.OverprovisionPct == 0 {
-		p.OverprovisionPct = 9
-	}
-	if p.LinkBytesPerSec == 0 {
-		p.LinkBytesPerSec = 550e6 // SATA 6 Gb/s payload rate
-	}
-	if p.CmdOverhead == 0 {
-		p.CmdOverhead = 30 * sim.Microsecond
-	}
 	if p.ChanProgBytesPerSec == 0 {
 		p.ChanProgBytesPerSec = 50e6
-	}
-	if p.BrownoutVolts == 0 {
-		p.BrownoutVolts = 4.5
-	}
-	if p.DieVolts == 0 {
-		// Consumer controllers hold themselves in reset once the rail
-		// sags below the SATA tolerance, only a whisker under the host
-		// brownout point; there is no long grace window for flushing.
-		// The ~1 ms gap between link loss and controller reset is what
-		// leaves programs interrupted mid-ISPP.
-		p.DieVolts = 4.49
-	}
-	if p.LoadOhms == 0 {
-		p.LoadOhms = 60.5
 	}
 	if p.CacheMB == 0 && p.HasCache {
 		p.CacheMB = 32
 	}
-	if p.DirtyCapPages == 0 {
-		p.DirtyCapPages = 512
-	}
-	if p.FlushHighPages == 0 {
-		p.FlushHighPages = 128
-	}
 	if p.FlushIdleAge == 0 {
 		p.FlushIdleAge = 650 * sim.Millisecond
 	}
-	if p.FlushTick == 0 {
-		p.FlushTick = 10 * sim.Millisecond
-	}
-	if p.FlushBatchPages == 0 {
-		p.FlushBatchPages = 64
-	}
 	if p.JournalTick == 0 {
 		p.JournalTick = 10 * sim.Millisecond
-	}
-	if p.JournalBatchPages == 0 {
-		p.JournalBatchPages = 256
-	}
-	if p.RunMaxPages == 0 {
-		p.RunMaxPages = 384
-	}
-	if p.RunStaleAfter == 0 {
-		p.RunStaleAfter = 250 * sim.Millisecond
-	}
-	if p.ScanWindowPages == 0 {
-		p.ScanWindowPages = 64
-	}
-	if p.RecoveryBase == 0 {
-		p.RecoveryBase = 50 * sim.Millisecond
-	}
-	if p.LinkDownDetect == 0 {
-		p.LinkDownDetect = 2 * sim.Millisecond
-	}
-	if p.FailFast == 0 {
-		p.FailFast = 500 * sim.Microsecond
 	}
 	return p
 }
@@ -193,11 +119,8 @@ func (p Profile) Validate() error {
 	if !p.Cell.Valid() {
 		return fmt.Errorf("ssd: profile %s: bad cell kind", p.Name)
 	}
-	if p.Channels <= 0 || p.Dies <= 0 || p.Planes <= 0 || p.PagesPerBlock <= 0 {
+	if p.Channels <= 0 {
 		return fmt.Errorf("ssd: profile %s: bad array dimensions", p.Name)
-	}
-	if p.BrownoutVolts <= p.DieVolts {
-		return fmt.Errorf("ssd: profile %s: BrownoutVolts must exceed DieVolts", p.Name)
 	}
 	if p.HasCache && p.CacheMB <= 0 {
 		return fmt.Errorf("ssd: profile %s: cache enabled but CacheMB=0", p.Name)
@@ -210,33 +133,30 @@ func (p Profile) UserPages() int64 {
 	return int64(p.CapacityGB) << 30 >> addr.PageShift
 }
 
-// Geometry derives the flash array geometry for the profile.
+// Geometry derives the flash array geometry for the profile: one die per
+// channel.
 func (p Profile) Geometry() flash.Geometry {
-	return flash.GeometryForCapacity(int64(p.CapacityGB)<<30, p.OverprovisionPct,
-		p.Dies, p.Planes, p.PagesPerBlock)
+	return flash.GeometryForCapacity(int64(p.CapacityGB)<<30, overprovisionPct,
+		p.Channels, planes, pagesPerBlock)
 }
 
-// ChipConfig derives the NAND chip configuration.
+// ChipConfig derives the NAND chip configuration; timing, raw BER and
+// endurance follow from the cell technology.
 func (p Profile) ChipConfig() flash.Config {
 	return flash.Config{
 		Geometry:        p.Geometry(),
 		Cell:            p.Cell,
-		Timing:          p.Timing,
+		Timing:          flash.TimingFor(p.Cell),
 		ECC:             p.ECC,
-		BaseBER:         p.BaseBER,
-		WearBERMult:     p.WearBERMult,
-		EnduranceCycles: p.EnduranceCycles,
+		BaseBER:         flash.DefaultBER(p.Cell),
+		WearBERMult:     wearBERMult,
+		EnduranceCycles: flash.DefaultEndurance(p.Cell),
 	}
 }
 
 // FTLConfig derives the translation-layer configuration.
 func (p Profile) FTLConfig() ftl.Config {
-	cfg := ftl.DefaultConfig(p.UserPages(), p.Channels)
-	cfg.JournalBatchPages = p.JournalBatchPages
-	cfg.RunMaxPages = p.RunMaxPages
-	cfg.RunStaleAfter = p.RunStaleAfter
-	cfg.ScanWindowPages = p.ScanWindowPages
-	return cfg
+	return ftl.DefaultConfig(p.UserPages(), p.Channels)
 }
 
 // CachePages returns the cache capacity in pages (0 when disabled).
@@ -263,25 +183,11 @@ func (p Profile) WithSuperCap() Profile {
 	return p
 }
 
-// String implements fmt.Stringer with a Table I style row.
-func (p Profile) String() string {
-	cache := "No"
-	if p.HasCache {
-		cache = fmt.Sprintf("Yes(%dMB)", p.CacheMB)
-	}
-	year := "NA"
-	if p.ReleaseYear > 0 {
-		year = fmt.Sprintf("%d", p.ReleaseYear)
-	}
-	return fmt.Sprintf("%s %dGB %s cache=%s ecc=%s(%d/KB) cell=%s year=%s",
-		p.Name, p.CapacityGB, p.Interface, cache, p.ECC.Scheme, p.ECC.CorrectPerKB, p.Cell, year)
-}
-
 // ProfileA models SSD "A" of Table I: 256 GB SATA MLC, internal cache and
 // BCH ECC, released 2013.
 func ProfileA() Profile {
 	return Profile{
-		Name: "A", Vendor: "vendor-a", CapacityGB: 256, Interface: "SATA",
+		Name: "A", CapacityGB: 256, Interface: "SATA",
 		ReleaseYear: 2013, Cell: flash.MLC,
 		ECC:      flash.ECCConfig{Scheme: "BCH", CorrectPerKB: 40},
 		HasCache: true, CacheMB: 32,
@@ -291,7 +197,7 @@ func ProfileA() Profile {
 // ProfileB models SSD "B": 120 GB SATA TLC with LDPC ECC, released 2015.
 func ProfileB() Profile {
 	return Profile{
-		Name: "B", Vendor: "vendor-b", CapacityGB: 120, Interface: "SATA",
+		Name: "B", CapacityGB: 120, Interface: "SATA",
 		ReleaseYear: 2015, Cell: flash.TLC,
 		ECC:      flash.ECCConfig{Scheme: "LDPC", CorrectPerKB: 100},
 		HasCache: true, CacheMB: 16,
@@ -303,7 +209,7 @@ func ProfileB() Profile {
 // release year not published.
 func ProfileC() Profile {
 	return Profile{
-		Name: "C", Vendor: "vendor-c", CapacityGB: 120, Interface: "SATA",
+		Name: "C", CapacityGB: 120, Interface: "SATA",
 		Cell:     flash.MLC,
 		ECC:      flash.ECCConfig{Scheme: "BCH", CorrectPerKB: 40},
 		HasCache: true, CacheMB: 16,
@@ -318,7 +224,7 @@ func ProfileC() Profile {
 // cut, and its interrupted programs corrupt more paired pages.
 func ProfileQ() Profile {
 	return Profile{
-		Name: "Q", Vendor: "vendor-q", CapacityGB: 512, Interface: "SATA",
+		Name: "Q", CapacityGB: 512, Interface: "SATA",
 		ReleaseYear: 2019, Cell: flash.QLC,
 		ECC:      flash.ECCConfig{Scheme: "LDPC", CorrectPerKB: 100},
 		HasCache: true, CacheMB: 64,

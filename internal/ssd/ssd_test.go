@@ -7,6 +7,7 @@ import (
 	"powerfail/internal/blockdev"
 	"powerfail/internal/content"
 	"powerfail/internal/flash"
+	"powerfail/internal/ftl"
 	"powerfail/internal/power"
 	"powerfail/internal/sim"
 )
@@ -16,7 +17,6 @@ func smallProfile() Profile {
 	p := ProfileA()
 	p.CapacityGB = 1
 	p.Channels = 4
-	p.Dies = 4
 	return p.Normalize()
 }
 
@@ -318,9 +318,6 @@ func TestProfilesTableI(t *testing.T) {
 		if !p.HasCache {
 			t.Errorf("profile %s should have an internal cache", p.Name)
 		}
-		if p.String() == "" {
-			t.Error("empty profile string")
-		}
 	}
 	if ProfileB().ECC.Scheme != "LDPC" {
 		t.Error("SSD B should use LDPC (Table I)")
@@ -364,33 +361,22 @@ func TestProfileValidation(t *testing.T) {
 		t.Fatal("nameless profile accepted")
 	}
 	p = ProfileA()
-	p.DieVolts = 4.9
-	if p.Validate() == nil {
-		t.Fatal("die above brownout accepted")
-	}
-	p = ProfileA()
 	p.CapacityGB = 0
 	if p.Validate() == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }
 
-func TestUncorrectableAsErrorMode(t *testing.T) {
-	p := smallProfile()
-	p.BaseBER = 0.05 // every flash read uncorrectable
-	p.UncorrectableAsError = true
-	r := newRig(t, p)
-	payload := content.Random(sim.NewRNG(10), 4)
-	r.write(t, 0, payload)
-	r.flush(t)
-	// Drop the cache copy so the read must hit flash.
-	r.psu.PowerOff()
-	r.k.RunFor(2 * sim.Second)
-	r.psu.PowerOn()
-	r.k.RunFor(500 * sim.Millisecond)
-	_, err := r.read(t, 0, 4)
-	if err != ErrUncorrectable {
-		t.Fatalf("err = %v, want ErrUncorrectable", err)
+// TestStockProfilesUseFTLDefaults: every stock drive, with and without
+// its cache and with power-loss protection, runs ftl.DefaultConfig, so the
+// mapping policy has one owner.
+func TestStockProfilesUseFTLDefaults(t *testing.T) {
+	for _, base := range append(Profiles(), ProfileQ()) {
+		for _, p := range []Profile{base, base.WithCacheDisabled(), base.WithSuperCap()} {
+			if got, want := p.FTLConfig(), ftl.DefaultConfig(p.UserPages(), p.Channels); got != want {
+				t.Errorf("profile %s: FTLConfig = %+v, want %+v", p.Name, got, want)
+			}
+		}
 	}
 }
 
