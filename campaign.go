@@ -21,13 +21,8 @@ import (
 // Each item builds its own independent single-threaded Platform, so
 // cross-experiment parallelism preserves per-experiment determinism:
 // results are identical whatever the parallelism or scheduling order.
-//
-//	c := powerfail.NewCampaign(powerfail.Fig5Items(0.2),
-//	    powerfail.WithParallelism(8),
-//	    powerfail.WithProgress(func(res powerfail.CatalogResult) {
-//	        log.Printf("done %s/%s", res.Item.Figure, res.Item.Label)
-//	    }))
-//	out, err := c.Run(ctx)
+// The NewCampaign and CatalogItem examples run catalog and hand-built
+// items.
 //
 // Campaigns are single-use: build a new one per Run call.
 type Campaign struct {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"powerfail"
+	"powerfail/internal/obs"
 )
 
 // catalogDigestScale is the catalog scale the checked-in digests pin.
@@ -105,8 +106,9 @@ func TestCatalogDigests(t *testing.T) {
 // every figure at catalogDigestScale runs with DefaultObsConfig, and the
 // test hashes each figure's results JSON (which carries the obs
 // summaries) and, under the key "chrome", the merged Chrome trace of all
-// of them. testdata/obs_digests.json changes only with a deliberate
-// change to the model or to what the obs layer records.
+// of them, after checking that trace with obs.ValidateChromeTrace.
+// testdata/obs_digests.json changes only with a deliberate change to the
+// model or to what the obs layer records.
 func TestObsDigests(t *testing.T) {
 	seen := map[string]bool{}
 	var items []powerfail.CatalogItem
@@ -131,6 +133,13 @@ func TestObsDigests(t *testing.T) {
 	var b bytes.Buffer
 	if err := powerfail.WriteObsChromeTrace(&b, procs); err != nil {
 		t.Fatal(err)
+	}
+	n, err := obs.ValidateChromeTrace(bytes.NewReader(b.Bytes()))
+	if err != nil {
+		t.Fatalf("merged Chrome trace: %v", err)
+	}
+	if n == 0 {
+		t.Fatal("merged Chrome trace holds no events")
 	}
 	sum := sha256.Sum256(b.Bytes())
 	got["chrome"] = hex.EncodeToString(sum[:])

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"powerfail/internal/array"
-	"powerfail/internal/core"
 	"powerfail/internal/fleet"
 	"powerfail/internal/hdd"
 	"powerfail/internal/power"
@@ -930,6 +929,3 @@ func DischargeCurve(withSSD bool, step, horizon sim.Duration) (curve []VoltagePo
 	}
 	return curve, brownoutAt
 }
-
-// Ensure the catalog compiles against the core types.
-var _ = core.ExperimentSpec{}

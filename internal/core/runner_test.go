@@ -89,11 +89,15 @@ func TestDeterministicReports(t *testing.T) {
 }
 
 // TestWriteWorkloadLosesData: the paper's core finding — write workloads
-// suffer data losses under power faults.
+// suffer data losses under power faults. The report names the synthetic
+// generator as its IO source.
 func TestWriteWorkloadLosesData(t *testing.T) {
 	rep := runSmall(t, smallOpts(1), ExperimentSpec{
 		Name: "writes", Workload: smallWrites(), Faults: 12, RequestsPerFault: 16,
 	})
+	if rep.Source != "workload" {
+		t.Fatalf("report source = %q, want workload", rep.Source)
+	}
 	if rep.DataLosses() == 0 {
 		t.Fatal("no data losses on a write workload")
 	}

@@ -10,7 +10,7 @@ import (
 
 // FuzzReadUnifiedEvents: the Chrome trace is the one serialised form of
 // the unified event stream, and ValidateChromeTrace is its reader —
-// blkreport -validate-chrome feeds it outside bytes and CI gates on it.
+// TestObsDigests gates the catalog's merged trace on it.
 //
 //  1. ValidateChromeTrace returns (count, error) for arbitrary input
 //     without panicking, and the count of an accepted trace is the number

@@ -7,24 +7,13 @@
 // paper's evaluation is a matrix of hundreds of independent experiments
 // per figure) executed over a bounded worker pool with streaming progress,
 // context cancellation, deterministic ordering, per-figure aggregation
-// (failure-rate means with 95% confidence intervals) and JSON output:
-//
-//	out, err := powerfail.NewCampaign(powerfail.Fig5Items(0.2),
-//	    powerfail.WithParallelism(8),
-//	    powerfail.WithBaseSeed(1),
-//	).Run(ctx)
-//
-// Each experiment builds an independent single-threaded Platform, so the
-// same (BaseSeed, items) pair reproduces byte-identical reports at any
-// parallelism. Single experiments run through Run/RunContext:
-//
-//	rep, err := powerfail.Run(powerfail.Options{Seed: 1},
-//	    powerfail.Experiment{
-//	        Name:             "demo",
-//	        Workload:         powerfail.DefaultWorkload(),
-//	        Faults:           50,
-//	        RequestsPerFault: 16,
-//	    })
+// (failure-rate means with 95% confidence intervals) and JSON output; see
+// the NewCampaign example. Each experiment builds an independent
+// single-threaded Platform, so the same (BaseSeed, items) pair reproduces
+// byte-identical reports at any parallelism. Single experiments run
+// through Run/RunContext; see the Run example. The package's examples
+// (go test -run Example -v) print checked output for each part of the
+// API below.
 //
 // The device side of the platform is selected by Options.Topology: the
 // single SSD of the paper (the default), a single HDD comparator, or a
@@ -385,9 +374,6 @@ func ProfileByName(name string) (SSDProfile, bool) { return ssd.ProfileByName(na
 // 4 KiB-1 MiB, 16 GB working set.
 func DefaultWorkload() Workload { return workload.DefaultSpec() }
 
-// DefaultPSU returns the Fig. 4-calibrated supply model.
-func DefaultPSU() PSUConfig { return power.DefaultConfig() }
-
 // DefaultHDD returns the write-through desktop drive model.
 func DefaultHDD() HDDProfile { return hdd.DefaultProfile() }
 
@@ -462,10 +448,6 @@ func DefaultTxnConfig() TxnConfig { return txn.DefaultConfig() }
 // tree, 3 random PSU-level cuts over 30 simulated seconds. Set Parity for
 // RAID-6-like or wider m+k groups.
 func DefaultFleetConfig() FleetConfig { return fleet.DefaultConfig() }
-
-// FleetNines converts an availability or durability fraction into "nines"
-// (0.999 → 3), capped at 12 for a run with no observed unavailability.
-func FleetNines(x float64) float64 { return fleet.Nines(x) }
 
 // DefaultObsConfig returns the full-observability configuration: metrics
 // and tracing on, with the stock trace-ring capacity.
