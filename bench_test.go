@@ -205,7 +205,7 @@ func BenchmarkFig9AccessSequences(b *testing.B) {
 func BenchmarkAblationCutSpeed(b *testing.B) {
 	printSeries(b, "ablation", "Ablations: cut speed, supercap, cache, journal interval")
 	opts := benchOpts()
-	opts.PSU = powerfail.PSUConfig{VNominal: 5, Capacitance: 2e-6, BleedOhms: 27.7, RiseTime: sim.Millisecond}
+	opts.TransistorCut = true
 	timeOne(b, opts, benchSpec(nil))
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -36,77 +37,125 @@ func encodeReports(t *testing.T, out *powerfail.CampaignResult) []string {
 	return enc
 }
 
-// TestCampaignParallelDeterminism: the acceptance criterion — the same
-// (BaseSeed, items) produce byte-identical reports at parallelism 1 and 8.
+// TestCampaignParallelDeterminism: the Campaign invariant — the same
+// items produce byte-identical reports, in item order, at parallelism 1
+// and 8, on every path a figure exercises. Every platform (array members,
+// fleet simulations, txn engines, trace replayers) is rebuilt per item
+// from the item seed, so worker scheduling never leaks into a report.
+// Each row's check adds what that figure must show besides.
 func TestCampaignParallelDeterminism(t *testing.T) {
-	items := smallItems(t, "fig5", 0.02)
-
-	run := func(parallelism int) *powerfail.CampaignResult {
-		out, err := powerfail.NewCampaign(items,
-			powerfail.WithParallelism(parallelism),
-			powerfail.WithBaseSeed(42),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return out
+	figure := func(name string) func(*testing.T) []powerfail.CatalogItem {
+		return func(t *testing.T) []powerfail.CatalogItem { return smallItems(t, name, 0.02) }
 	}
-	seq := run(1)
-	par := run(8)
-
-	if seq.Completed != len(items) || par.Completed != len(items) {
-		t.Fatalf("completed %d/%d, want %d", seq.Completed, par.Completed, len(items))
-	}
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, items[i].Label, seqEnc[i], parEnc[i])
-		}
-	}
-	for i, res := range par.Results {
-		if res.Item.Label != items[i].Label {
-			t.Fatalf("result %d out of item order: %q", i, res.Item.Label)
-		}
-	}
-}
-
-// TestArrayCampaignParallelDeterminism: the multi-device acceptance
-// criterion — the "array" figure produces byte-identical CampaignResults
-// at parallelism 1 and 8 (every member platform is rebuilt per item from
-// the item seed, so scheduling never leaks into the reports).
-func TestArrayCampaignParallelDeterminism(t *testing.T) {
-	items := smallItems(t, "array", 0.02)
-	run := func(parallelism int) *powerfail.CampaignResult {
-		out, err := powerfail.NewCampaign(items,
-			powerfail.WithParallelism(parallelism),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return out
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.Completed != len(items) || par.Completed != len(items) {
-		t.Fatalf("completed %d/%d, want %d", seq.Completed, par.Completed, len(items))
-	}
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	anyLoss := false
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("array item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, items[i].Label, seqEnc[i], parEnc[i])
-		}
-		if seq.Results[i].Report.DataLosses() > 0 {
-			anyLoss = true
-		}
-		if len(seq.Results[i].Report.Members) == 0 {
-			t.Fatalf("array item %d (%s): no per-member attribution", i, items[i].Label)
-		}
-	}
-	if !anyLoss {
-		t.Fatal("no array point lost data — correlated faults not biting")
+	for _, tc := range []struct {
+		name  string
+		items func(*testing.T) []powerfail.CatalogItem
+		opts  []powerfail.CampaignOption
+		// check runs on the parallelism-1 result, and for obs on both.
+		check func(t *testing.T, seq, par *powerfail.CampaignResult)
+	}{
+		{name: "fig5", items: figure("fig5"), opts: []powerfail.CampaignOption{powerfail.WithBaseSeed(42)}},
+		{name: "array", items: figure("array"), check: func(t *testing.T, seq, _ *powerfail.CampaignResult) {
+			anyLoss := false
+			for _, res := range seq.Results {
+				if len(res.Report.Members) == 0 {
+					t.Fatalf("%s: no per-member attribution", res.Item.Label)
+				}
+				anyLoss = anyLoss || res.Report.DataLosses() > 0
+			}
+			if !anyLoss {
+				t.Fatal("no array point lost data — correlated faults not biting")
+			}
+		}},
+		// The write-back cache's free-slot reclamation once walked a map,
+		// making post-fault slot allocation depend on iteration order.
+		{name: "cache", items: figure("cache")},
+		// The coded RMW and reconstruction paths.
+		{name: "erasure", items: figure("erasure")},
+		{name: "fleet", items: figure("fleet"), check: func(t *testing.T, seq, _ *powerfail.CampaignResult) {
+			for _, res := range seq.Results {
+				if res.Report.Fleet == nil {
+					t.Fatalf("%s: report carries no fleet stats", res.Item.Label)
+				}
+			}
+		}},
+		// With observability on, the metric dumps and the trace-event
+		// streams are deterministic too.
+		{name: "obs", items: func(t *testing.T) []powerfail.CatalogItem { return obsItems(t, "fleet", 0.02, 4) },
+			check: func(t *testing.T, seq, par *powerfail.CampaignResult) {
+				seqDump, parDump := dumpSummaries(t, seq), dumpSummaries(t, par)
+				for i, res := range seq.Results {
+					if seqDump[i] == "" {
+						t.Fatalf("%s: no obs summary", res.Item.Label)
+					}
+					if seqDump[i] != parDump[i] {
+						t.Errorf("%s: metric dump diverged:\n%s\n%s", res.Item.Label, seqDump[i], parDump[i])
+					}
+					a, b := res.Report.ObsTrace, par.Results[i].Report.ObsTrace
+					if len(a) == 0 || !reflect.DeepEqual(a, b) {
+						t.Errorf("%s: trace diverged: %d vs %d events", res.Item.Label, len(a), len(b))
+					}
+				}
+			}},
+		{name: "trace", items: figure("trace"), check: func(t *testing.T, seq, _ *powerfail.CampaignResult) {
+			anyLoss := false
+			for _, res := range seq.Results {
+				rep := res.Report
+				if rep.Source != "trace" || rep.TraceStats == nil {
+					t.Fatalf("%s: source=%q stats=%+v", res.Item.Label, rep.Source, rep.TraceStats)
+				}
+				if rep.TraceStats.Replayed == 0 || rep.TraceStats.Coverage <= 0 {
+					t.Fatalf("%s: nothing replayed: %+v", res.Item.Label, rep.TraceStats)
+				}
+				anyLoss = anyLoss || rep.DataLosses() > 0
+			}
+			if !anyLoss {
+				t.Fatal("no trace point lost data — replay not reaching the volatile paths")
+			}
+		}},
+		{name: "txn", items: figure("txn"), check: func(t *testing.T, seq, _ *powerfail.CampaignResult) {
+			for _, res := range seq.Results {
+				if res.Report.TxnStats == nil {
+					t.Fatalf("%s: no TxnStats in report", res.Item.Label)
+				}
+			}
+		}},
+		{name: "txn-streams", items: figure("txn-streams"), check: func(t *testing.T, seq, _ *powerfail.CampaignResult) {
+			for _, res := range seq.Results {
+				if res.Report.TxnStats == nil || len(res.Report.TxnPolicies) != 2 {
+					t.Fatalf("%s: missing txn stats or policy ablation", res.Item.Label)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := tc.items(t)
+			run := func(parallelism int) *powerfail.CampaignResult {
+				opts := append([]powerfail.CampaignOption{powerfail.WithParallelism(parallelism)}, tc.opts...)
+				out, err := powerfail.NewCampaign(items, opts...).Run(context.Background())
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", parallelism, err)
+				}
+				if out.Completed != len(items) {
+					t.Fatalf("parallelism %d: completed %d, want %d", parallelism, out.Completed, len(items))
+				}
+				return out
+			}
+			seq, par := run(1), run(8)
+			seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
+			for i := range seqEnc {
+				if seqEnc[i] != parEnc[i] {
+					t.Fatalf("item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
+						i, items[i].Label, seqEnc[i], parEnc[i])
+				}
+				if par.Results[i].Item.Label != items[i].Label {
+					t.Fatalf("result %d out of item order: %q", i, par.Results[i].Item.Label)
+				}
+			}
+			if tc.check != nil {
+				tc.check(t, seq, par)
+			}
+		})
 	}
 }
 
@@ -344,35 +393,5 @@ func TestRunContextCompat(t *testing.T) {
 	rep, err := powerfail.RunContext(context.Background(), powerfail.Options{Seed: 1, Profile: prof}, spec)
 	if err != nil || rep.Faults != 3 {
 		t.Fatalf("RunContext: rep=%+v err=%v", rep, err)
-	}
-}
-
-// TestCacheCampaignParallelDeterminism: the "cache" figure is
-// byte-deterministic at parallelism 1 vs 8. This pins the crash-recovery
-// path of the write-back cache, whose free-slot reclamation once walked a
-// map and made post-fault slot allocation (and with it whole reports)
-// depend on iteration order.
-func TestCacheCampaignParallelDeterminism(t *testing.T) {
-	items := smallItems(t, "cache", 0.02)
-	run := func(parallelism int) *powerfail.CampaignResult {
-		out, err := powerfail.NewCampaign(items,
-			powerfail.WithParallelism(parallelism),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return out
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.Completed != len(items) || par.Completed != len(items) {
-		t.Fatalf("completed %d/%d, want %d", seq.Completed, par.Completed, len(items))
-	}
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("cache item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, items[i].Label, seqEnc[i], parEnc[i])
-		}
 	}
 }

@@ -18,8 +18,8 @@ func Register() *bool {
 	return flag.Bool("obs", false, "enable the observability layer (sim-time metrics summary)")
 }
 
-// Configure returns the observability configuration to attach to
-// Options.Obs: the full default config when on, nil (observability off,
+// Configure returns the observability switch to attach to Options.Obs:
+// non-nil (metrics and tracing on) when on, nil (observability off,
 // byte-identical legacy output) otherwise. The returned pointer may be
 // shared across items — experiments only read it.
 func Configure(on bool) *powerfail.ObsConfig {

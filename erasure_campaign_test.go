@@ -25,21 +25,6 @@ func runErasureFigure(t *testing.T, parallelism int) *powerfail.CampaignResult {
 	return out
 }
 
-// TestErasureCampaignParallelDeterminism: the "erasure" figure produces
-// byte-identical reports at parallelism 1 and 8 — the coded RMW and
-// reconstruction paths introduce no scheduling nondeterminism.
-func TestErasureCampaignParallelDeterminism(t *testing.T) {
-	seq := runErasureFigure(t, 1)
-	par := runErasureFigure(t, 8)
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("erasure item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, seq.Results[i].Item.Label, seqEnc[i], parEnc[i])
-		}
-	}
-}
-
 // TestErasureFigureCoverage: every advertised point ran on the geometry
 // its label names, exercised the parity RMW path, and the mixed points
 // really carry the QLC straggler as their last member.

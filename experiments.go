@@ -189,10 +189,7 @@ func Fig8Items(scale float64) []CatalogItem {
 		w.MaxSize = 64 << 10
 		w.IOPS = iops
 		opts := baseOpts(900 + uint64(i))
-		opts.Host.MaxSegPages = 128
-		opts.Host.Depth = 32
-		opts.Host.PendingCap = 256
-		opts.Host.Timeout = 30 * sim.Second
+		opts.PendingCap = 256
 		items = append(items, CatalogItem{
 			Figure: "fig8",
 			Label:  fmt.Sprintf("iops=%d", int(iops)),
@@ -316,7 +313,7 @@ func AblationItems(scale float64) []CatalogItem {
 	slow := baseOpts(1200)
 	add("cut=psu-discharge", slow, base("abl-cut-psu"))
 	fast := baseOpts(1201)
-	fast.PSU = power.Config{VNominal: 5, Capacitance: 2e-6, BleedOhms: 27.7, RiseTime: sim.Millis(1)}
+	fast.TransistorCut = true
 	add("cut=transistor", fast, base("abl-cut-transistor"))
 
 	// ABL-2: supercapacitor power-loss protection.
@@ -421,11 +418,11 @@ func ErasureItems(scale float64) []CatalogItem {
 	weak := ssd.ProfileQ()
 	weak.CapacityGB = 8 // keep member FTL state campaign-cheap, like arrayMember
 	cuts := []struct {
-		tag string
-		psu power.Config
+		tag        string
+		transistor bool
 	}{
-		{"soft", power.Config{}}, // zero value: the Fig. 4 capacitive discharge
-		{"hard", power.Config{VNominal: 5, Capacitance: 2e-6, BleedOhms: 27.7, RiseTime: sim.Millis(1)}},
+		{"soft", false}, // the Fig. 4 capacitive discharge
+		{"hard", true},
 	}
 	var items []CatalogItem
 	i := 0
@@ -447,7 +444,7 @@ func ErasureItems(scale float64) []CatalogItem {
 						Members: members,
 						Parity:  code.parity,
 					}),
-					PSU: cut.psu,
+					TransistorCut: cut.transistor,
 				}
 				items = append(items, CatalogItem{
 					Figure: "erasure",
@@ -907,8 +904,12 @@ type VoltagePoint struct {
 
 // DischargeCurve reproduces Fig. 4: the 5 V rail's voltage after a cut,
 // with or without one SSD attached, sampled every step until horizon.
-// It also returns the instant the rail crossed 4.5 V (the SSD brownout).
+// It also returns the instant the rail crossed 4.5 V (the SSD brownout),
+// or -1 if it did not. A non-positive step returns (nil, -1).
 func DischargeCurve(withSSD bool, step, horizon sim.Duration) (curve []VoltagePoint, brownoutAt sim.Duration) {
+	if step <= 0 {
+		return nil, -1
+	}
 	k := sim.New()
 	psu, err := power.New(k, power.DefaultConfig())
 	if err != nil {

@@ -25,27 +25,6 @@ func runFleetFigure(t *testing.T, parallelism int) *powerfail.CampaignResult {
 	return out
 }
 
-// TestFleetCampaignParallelDeterminism: the satellite acceptance
-// criterion — the "fleet" figure produces byte-identical reports at
-// parallelism 1 and 8. Every fleet simulation owns its kernel and forks
-// its RNG from the item seed, so worker scheduling can never leak into
-// an availability or durability verdict.
-func TestFleetCampaignParallelDeterminism(t *testing.T) {
-	seq := runFleetFigure(t, 1)
-	par := runFleetFigure(t, 8)
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("fleet item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, seq.Results[i].Item.Label, seqEnc[i], parEnc[i])
-		}
-		if seq.Results[i].Report.Fleet == nil {
-			t.Fatalf("fleet item %d (%s): report carries no fleet stats",
-				i, seq.Results[i].Item.Label)
-		}
-	}
-}
-
 // TestFleetFigureCoverage: every advertised point of the fleet figure ran
 // with cuts landing at the level its label names, and the spare-equipped
 // PSU points moved real rebuild traffic through the block layer.

@@ -17,7 +17,7 @@ import (
 func TestQueueZeroAllocs(t *testing.T) {
 	for _, pages := range []int{8, 300} {
 		k := sim.New()
-		q, err := New(k, &benchDevice{k: k}, DefaultConfig())
+		q, err := New(k, &benchDevice{k: k}, DefaultPendingCap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func nopDone(*Request) {}
 func BenchmarkQueueSubmitComplete(b *testing.B) {
 	k := sim.New()
 	dev := &benchDevice{k: k}
-	q, err := New(k, dev, DefaultConfig())
+	q, err := New(k, dev, DefaultPendingCap)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func BenchmarkQueueSubmitComplete(b *testing.B) {
 func BenchmarkQueueSubmitCompleteSplit(b *testing.B) {
 	k := sim.New()
 	dev := &benchDevice{k: k}
-	q, err := New(k, dev, DefaultConfig())
+	q, err := New(k, dev, DefaultPendingCap)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,32 +160,20 @@ type Drive interface {
 	NotifyDown(fn func())
 }
 
-// Config tunes the block layer.
-type Config struct {
-	// MaxSegPages splits requests larger than this many pages.
-	MaxSegPages int
-	// Depth bounds sub-requests in flight at the device (NCQ depth).
-	Depth int
-	// PendingCap bounds requests waiting for dispatch; beyond it requests
-	// are rejected as not-issued.
-	PendingCap int
-	// Timeout abandons requests that have not completed.
-	Timeout sim.Duration
-}
+// The host queue's fixed calibration, a stock Linux SATA setup: 512 KiB
+// segments, NCQ depth 32 and the 30 s request timeout.
+const (
+	// maxSegPages splits requests larger than this many pages.
+	maxSegPages = 128
+	// depth bounds sub-requests in flight at the device (NCQ depth).
+	depth = 32
+	// timeout abandons requests that have not completed.
+	timeout = 30 * sim.Second
+)
 
-// DefaultConfig mirrors a stock Linux SATA setup: 512 KiB segments, NCQ 32,
-// 30 s timeout.
-func DefaultConfig() Config {
-	return Config{MaxSegPages: 128, Depth: 32, PendingCap: 4096, Timeout: 30 * sim.Second}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.MaxSegPages <= 0 || c.Depth <= 0 || c.PendingCap <= 0 || c.Timeout <= 0 {
-		return fmt.Errorf("blockdev: all config values must be positive: %+v", c)
-	}
-	return nil
-}
+// DefaultPendingCap is the stock bound on sub-requests waiting for
+// dispatch.
+const DefaultPendingCap = 4096
 
 // Stats counts block-layer activity.
 type Stats struct {
@@ -201,7 +189,9 @@ type Stats struct {
 type Queue struct {
 	k   *sim.Kernel
 	dev Device
-	cfg Config
+	// pendingCap bounds sub-requests waiting for dispatch; beyond it
+	// requests are rejected as not-issued.
+	pendingCap int
 
 	nextID   uint64
 	pending  []pendingSub // dispatch FIFO: live entries are pending[pendHead:]
@@ -215,15 +205,16 @@ type Queue struct {
 	callFree []*subCall
 }
 
-// New builds a block layer over dev.
-func New(k *sim.Kernel, dev Device, cfg Config) (*Queue, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New builds a block layer over dev that rejects requests while
+// pendingCap sub-requests wait for dispatch.
+func New(k *sim.Kernel, dev Device, pendingCap int) (*Queue, error) {
+	if pendingCap <= 0 {
+		return nil, fmt.Errorf("blockdev: pending cap must be positive, got %d", pendingCap)
 	}
 	if dev == nil {
 		return nil, errors.New("blockdev: nil device")
 	}
-	return &Queue{k: k, dev: dev, cfg: cfg}, nil
+	return &Queue{k: k, dev: dev, pendingCap: pendingCap}, nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -282,7 +273,7 @@ func (q *Queue) Submit(r *Request) {
 	r.Queued = q.k.Now()
 	q.stats.Submitted++
 	q.obs.submitted.Inc()
-	if q.PendingSubs() >= q.cfg.PendingCap {
+	if q.PendingSubs() >= q.pendingCap {
 		r.NotIssued = true
 		r.Err = ErrQueueFull
 		q.stats.Rejected++
@@ -296,9 +287,9 @@ func (q *Queue) Submit(r *Request) {
 	}
 	r.remaining = len(r.subs)
 	if r.pooled {
-		r.timeout = q.k.After(q.cfg.Timeout, r.timeoutFn)
+		r.timeout = q.k.After(timeout, r.timeoutFn)
 	} else {
-		r.timeout = q.k.After(q.cfg.Timeout, func() { q.onTimeout(r) })
+		r.timeout = q.k.After(timeout, func() { q.onTimeout(r) })
 	}
 	q.pump()
 }
@@ -309,7 +300,7 @@ func (q *Queue) split(r *Request) {
 		r.subs = append(r.subs, subRequest{lpn: r.LPN})
 		return
 	}
-	seg := q.cfg.MaxSegPages
+	seg := maxSegPages
 	for off := 0; off < r.Pages; off += seg {
 		n := r.Pages - off
 		if n > seg {
@@ -364,7 +355,7 @@ func (q *Queue) getCall(r *Request, idx int) *subCall {
 }
 
 func (q *Queue) pump() {
-	for q.inflight < q.cfg.Depth && q.pendHead < len(q.pending) {
+	for q.inflight < depth && q.pendHead < len(q.pending) {
 		e := q.popPending()
 		r := e.r
 		if r.gen != e.gen || r.finished {

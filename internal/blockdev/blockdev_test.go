@@ -63,11 +63,11 @@ func (d *fakeDevice) Submit(op Op, lpn addr.LPN, pages int, data content.Data, d
 	})
 }
 
-func harness(t *testing.T, cfg Config) (*sim.Kernel, *fakeDevice, *Queue) {
+func harness(t *testing.T, pendingCap int) (*sim.Kernel, *fakeDevice, *Queue) {
 	t.Helper()
 	k := sim.New()
 	dev := newFake(k)
-	q, err := New(k, dev, cfg)
+	q, err := New(k, dev, pendingCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func harness(t *testing.T, cfg Config) (*sim.Kernel, *fakeDevice, *Queue) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	k, _, q := harness(t, DefaultConfig())
+	k, _, q := harness(t, DefaultPendingCap)
 	r := sim.NewRNG(1)
 	payload := content.Random(r, 300) // splits into 128+128+44
 	var wrote, read bool
@@ -108,7 +108,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestSplitBoundaries(t *testing.T) {
-	k, dev, q := harness(t, DefaultConfig())
+	k, dev, q := harness(t, DefaultPendingCap)
 	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 257, Data: content.Zeroes(257), Done: func(*Request) {}})
 	k.Run()
 	subs := dev.subs
@@ -124,29 +124,25 @@ func TestSplitBoundaries(t *testing.T) {
 }
 
 func TestDepthRespected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Depth = 4
-	k, dev, q := harness(t, cfg)
-	for i := 0; i < 20; i++ {
+	k, dev, q := harness(t, DefaultPendingCap)
+	n := 2*depth + 8
+	for i := 0; i < n; i++ {
 		q.Submit(&Request{Op: OpWrite, LPN: addr.LPN(i * 10), Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
 	}
 	k.Run()
-	if dev.maxInfly > 4 {
-		t.Fatalf("device saw %d in flight, depth is 4", dev.maxInfly)
+	if dev.maxInfly != depth {
+		t.Fatalf("device saw at most %d in flight, depth is %d", dev.maxInfly, depth)
 	}
-	if q.Stats().Completed != 20 {
+	if q.Stats().Completed != int64(n) {
 		t.Fatalf("completed = %d", q.Stats().Completed)
 	}
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PendingCap = 2
-	cfg.Depth = 1
-	k, dev, q := harness(t, cfg)
+	k, dev, q := harness(t, 2)
 	dev.latency = 10 * sim.Millisecond
 	rejected := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < depth+10; i++ {
 		q.Submit(&Request{Op: OpWrite, LPN: addr.LPN(i), Pages: 1, Data: content.Zeroes(1), Done: func(req *Request) {
 			if req.NotIssued {
 				if req.Err != ErrQueueFull {
@@ -157,8 +153,8 @@ func TestQueueFullRejection(t *testing.T) {
 		}})
 	}
 	k.Run()
-	if rejected == 0 {
-		t.Fatal("no rejections despite tiny queue")
+	if rejected != 8 {
+		t.Fatalf("%d rejections, want 8: %d dispatched, 2 pending, the rest rejected", rejected, depth)
 	}
 	if int(q.Stats().Rejected) != rejected {
 		t.Fatalf("stats.Rejected=%d, callbacks=%d", q.Stats().Rejected, rejected)
@@ -166,7 +162,7 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestDeviceErrorPropagates(t *testing.T) {
-	k, dev, q := harness(t, DefaultConfig())
+	k, dev, q := harness(t, DefaultPendingCap)
 	dev.failAll = true
 	var gotErr error
 	q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 200, Data: content.Zeroes(200), Done: func(req *Request) {
@@ -182,9 +178,7 @@ func TestDeviceErrorPropagates(t *testing.T) {
 }
 
 func TestTimeout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Timeout = 100 * sim.Millisecond
-	k, dev, q := harness(t, cfg)
+	k, dev, q := harness(t, DefaultPendingCap)
 	dev.silent = true
 	var gotErr error
 	done := false
@@ -196,13 +190,13 @@ func TestTimeout(t *testing.T) {
 	if !done || gotErr != ErrTimeout {
 		t.Fatalf("timeout not delivered: done=%v err=%v", done, gotErr)
 	}
-	if k.Now() < sim.Time(100*sim.Millisecond) {
+	if k.Now() < sim.Time(timeout) {
 		t.Fatal("completed before the timeout deadline")
 	}
 }
 
 func TestFlushRequest(t *testing.T) {
-	k, _, q := harness(t, DefaultConfig())
+	k, _, q := harness(t, DefaultPendingCap)
 	done := false
 	q.Submit(&Request{Op: OpFlush, Done: func(req *Request) {
 		if req.Err != nil {
@@ -218,16 +212,18 @@ func TestFlushRequest(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	k := sim.New()
-	if _, err := New(k, newFake(k), Config{}); err == nil {
-		t.Fatal("zero config accepted")
+	for _, pendingCap := range []int{0, -1} {
+		if _, err := New(k, newFake(k), pendingCap); err == nil {
+			t.Fatalf("pending cap %d accepted", pendingCap)
+		}
 	}
-	if _, err := New(k, nil, DefaultConfig()); err == nil {
+	if _, err := New(k, nil, DefaultPendingCap); err == nil {
 		t.Fatal("nil device accepted")
 	}
 }
 
 func TestPanicsOnBadRequests(t *testing.T) {
-	k, _, q := harness(t, DefaultConfig())
+	k, _, q := harness(t, DefaultPendingCap)
 	assertPanics(t, func() { q.Submit(&Request{Op: OpWrite, Pages: 0}) })
 	assertPanics(t, func() { q.Submit(&Request{Op: OpWrite, Pages: 2, Data: content.Zeroes(1)}) })
 	_ = k
@@ -259,36 +255,37 @@ func TestOpStrings(t *testing.T) {
 func TestTraceCompletionMatchesStatus(t *testing.T) {
 	cases := []struct {
 		name  string
-		setup func(cfg *Config, dev *fakeDevice)
+		setup func(pendingCap *int, dev *fakeDevice)
 		n     int
 		pages int
 		// complete is how many of the n requests should complete.
 		complete int
 	}{
-		{"ok", func(*Config, *fakeDevice) {}, 1, 300, 1},
-		{"device error", func(_ *Config, dev *fakeDevice) { dev.failAll = true }, 1, 300, 0},
+		{"ok", func(*int, *fakeDevice) {}, 1, 300, 1},
+		{"device error", func(_ *int, dev *fakeDevice) { dev.failAll = true }, 1, 300, 0},
 		// The device answers after the 30 s deadline; the queue has
 		// already failed the request and drops the late completion.
-		{"timeout", func(cfg *Config, dev *fakeDevice) {
-			cfg.Timeout = 30 * sim.Second
+		{"timeout", func(_ *int, dev *fakeDevice) {
 			dev.latency = 31 * sim.Second
 		}, 1, 8, 0},
-		{"queue full", func(cfg *Config, dev *fakeDevice) {
-			cfg.PendingCap, cfg.Depth = 2, 1
+		// depth requests dispatch, two wait and the last two are
+		// rejected.
+		{"queue full", func(pendingCap *int, dev *fakeDevice) {
+			*pendingCap = 2
 			dev.latency = 10 * sim.Millisecond
-		}, 6, 1, 3},
+		}, depth + 4, 1, depth + 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
+			pendingCap := DefaultPendingCap
 			k := sim.New()
 			dev := newFake(k)
-			tc.setup(&cfg, dev)
-			q, err := New(k, dev, cfg)
+			tc.setup(&pendingCap, dev)
+			q, err := New(k, dev, pendingCap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := obs.NewSet(obs.Config{Trace: true})
+			set := obs.NewSet()
 			q.TraceIOs(set.Scope("blk"))
 			byID := map[uint64]*Request{}
 			for i := 0; i < tc.n; i++ {
@@ -321,11 +318,11 @@ func TestTraceCompletionMatchesStatus(t *testing.T) {
 
 // TestTraceSpansFlushInIDOrder checks the buffer's lifecycle: spans leave
 // in request-ID order even when a later request completes first, a flush
-// empties the buffer, and a queue without a tracing scope buffers
+// empties the buffer, and a queue without an enabled scope buffers
 // nothing.
 func TestTraceSpansFlushInIDOrder(t *testing.T) {
 	run := func(sc obs.Scope) *Queue {
-		k, dev, q := harness(t, DefaultConfig())
+		k, dev, q := harness(t, DefaultPendingCap)
 		q.TraceIOs(sc)
 		dev.latency = 10 * sim.Millisecond
 		q.Submit(&Request{Op: OpWrite, LPN: 0, Pages: 1, Data: content.Zeroes(1), Done: func(*Request) {}})
@@ -335,7 +332,7 @@ func TestTraceSpansFlushInIDOrder(t *testing.T) {
 		return q
 	}
 
-	set := obs.NewSet(obs.Config{Trace: true})
+	set := obs.NewSet()
 	q := run(set.Scope("blk"))
 	if len(q.ios.spans) != 2 || q.ios.spans[0].Name != "R" {
 		t.Fatalf("buffered %+v, want the read (completed first) then the write", q.ios.spans)
@@ -353,12 +350,7 @@ func TestTraceSpansFlushInIDOrder(t *testing.T) {
 		t.Fatalf("second flush recorded again: %d events", n)
 	}
 
-	for name, sc := range map[string]obs.Scope{
-		"no scope":     {},
-		"metrics only": obs.NewSet(obs.Config{Metrics: true}).Scope("blk"),
-	} {
-		if q := run(sc); len(q.ios.spans) != 0 {
-			t.Errorf("%s: untraced queue buffered %d spans", name, len(q.ios.spans))
-		}
+	if q := run(obs.Scope{}); len(q.ios.spans) != 0 {
+		t.Errorf("untraced queue buffered %d spans", len(q.ios.spans))
 	}
 }

@@ -53,11 +53,10 @@ func (q *Queue) Observe(sc obs.Scope) {
 }
 
 // obsSampleDepth records the device-inflight depth when it changed since
-// the last sample: a gauge point always, a trace event when tracing is
-// on.
+// the last sample, as a gauge point and a trace event.
 func (q *Queue) obsSampleDepth() {
 	o := &q.obs
-	if o.inflight == nil && !o.sc.TracingOn() {
+	if o.inflight == nil {
 		return
 	}
 	if o.sampled && q.inflight == o.lastDepth {
@@ -99,7 +98,7 @@ func (q *Queue) obsDone(r *Request) {
 var ioSpanNames = [...]string{OpRead: "R", OpWrite: "W", OpFlush: "F"}
 
 // ioTrace buffers one queue-to-complete span per completed request while
-// a traced scope is attached. Spans are buffered rather than recorded at
+// an enabled scope is attached. Spans are buffered rather than recorded at
 // completion so that a flush can hand them to the trace ring in request
 // order, the order btt lists IOs in.
 type ioTrace struct {
@@ -116,15 +115,11 @@ func (t *ioTrace) add(r *Request, now sim.Time) {
 	t.spans = append(t.spans, obs.Event{At: r.Queued, Dur: now.Sub(r.Queued), Name: ioSpanNames[r.Op], Value: int64(r.ID)})
 }
 
-// TraceIOs attaches the block-IO trace scope: while sc is tracing, every
+// TraceIOs attaches the block-IO trace scope: while sc is enabled, every
 // completed request buffers a KindBlockIO span {At: Queued, Dur: Q2C,
-// Name: "R"|"W"|"F", Value: ID} until FlushIOs. A scope that is not
-// tracing leaves the queue untraced.
-func (q *Queue) TraceIOs(sc obs.Scope) {
-	if sc.TracingOn() {
-		q.ios.sc = sc
-	}
-}
+// Name: "R"|"W"|"F", Value: ID} until FlushIOs. A disabled scope leaves
+// the queue untraced.
+func (q *Queue) TraceIOs(sc obs.Scope) { q.ios.sc = sc }
 
 // FlushIOs records the buffered spans into the trace scope in request-ID
 // order and empties the buffer.

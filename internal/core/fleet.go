@@ -34,7 +34,7 @@ func runFleetExperiment(ctx context.Context, opts Options, spec ExperimentSpec) 
 	}
 	var set *obs.Set
 	if opts.Obs != nil {
-		set = obs.NewSet(*opts.Obs)
+		set = obs.NewSet()
 		f.Observe(set)
 	}
 	st := f.Run()

@@ -53,11 +53,10 @@ func runObs(t *testing.T, opts Options, spec ExperimentSpec) *Report {
 func TestObsEquivalence(t *testing.T) {
 	spec := obsTestSpec()
 	off := runObs(t, obsTestOpts(nil), spec)
-	zero := runObs(t, obsTestOpts(&obs.Config{}), spec)
-	on := runObs(t, obsTestOpts(&obs.Config{Metrics: true, Trace: true}), spec)
+	on := runObs(t, obsTestOpts(&obs.Config{}), spec)
 
-	if off.Obs != nil || zero.Obs != nil {
-		t.Fatal("disabled runs must not carry an obs summary")
+	if off.Obs != nil {
+		t.Fatal("the disabled run must not carry an obs summary")
 	}
 	if on.Obs == nil || len(on.ObsTrace) == 0 {
 		t.Fatal("enabled run carries no obs data")
@@ -69,16 +68,9 @@ func TestObsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroJSON, err := json.Marshal(zero)
-	if err != nil {
-		t.Fatal(err)
-	}
 	onJSON, err := json.Marshal(&stripped)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if string(offJSON) != string(zeroJSON) {
-		t.Errorf("nil config and zero config reports diverged:\n%s\n%s", offJSON, zeroJSON)
 	}
 	if string(offJSON) != string(onJSON) {
 		t.Errorf("observability changed the experiment outcome:\n%s\n%s", offJSON, onJSON)
@@ -89,7 +81,7 @@ func TestObsEquivalence(t *testing.T) {
 // power-scheduler and runner instrumentation the platform wires up.
 func TestObsMetricsPopulated(t *testing.T) {
 	spec := obsTestSpec()
-	rep := runObs(t, obsTestOpts(&obs.Config{Metrics: true, Trace: true}), spec)
+	rep := runObs(t, obsTestOpts(&obs.Config{}), spec)
 	s := rep.Obs
 	if rep.Events == 0 {
 		t.Error("kernel event count missing")
@@ -141,7 +133,7 @@ func TestObsTxnInstrumented(t *testing.T) {
 		Seed:    31,
 		Profile: prof,
 		Txn:     &cfg,
-		Obs:     &obs.Config{Metrics: true, Trace: true},
+		Obs:     &obs.Config{},
 	}
 	rep := runObs(t, opts, ExperimentSpec{
 		Name:             "obs-txn",
@@ -187,7 +179,7 @@ func TestObsFleetInstrumented(t *testing.T) {
 			ExperimentSpec{Name: "obs-fleet"})
 	}
 	off := run(nil)
-	on := run(&obs.Config{Metrics: true, Trace: true})
+	on := run(&obs.Config{})
 
 	stripped := *on
 	stripped.Obs = nil

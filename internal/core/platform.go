@@ -74,20 +74,26 @@ type Options struct {
 	// machines on top. Profile/Topology/Txn/Workload are ignored; the fleet
 	// generates its own foreground IO and fault plan.
 	Fleet *fleet.Config
-	// Host overrides the block-layer configuration.
-	Host blockdev.Config
-	// PSU overrides the supply's electrical model.
-	PSU power.Config
+	// PendingCap bounds the host block layer's dispatch queue: a request
+	// arriving while this many sub-requests wait is rejected as not
+	// issued. 0 selects blockdev.DefaultPendingCap; the segment size, NCQ
+	// depth and timeout are fixed blockdev constants.
+	PendingCap int
+	// TransistorCut replaces the supply's Fig. 4 capacitive discharge
+	// with the near-instant transistor cut of earlier studies
+	// (power.TransistorConfig).
+	TransistorCut bool
 	// Concurrency is the closed-loop outstanding-request budget
 	// (default 1: a synchronous IO thread, as in the paper's generator).
 	// It also sizes the post-fault control-read pipeline: up to this many
 	// verification/recovery reads stay in flight at once, so values above
 	// 1 shorten fault cycles on multi-channel devices.
 	Concurrency int
-	// Obs enables the observability layer (sim-time metrics registry and
-	// typed trace events) for this run. Nil — the default — disables it
-	// entirely: reports are byte-identical to builds without the layer,
-	// and the instrumented paths cost one nil check each.
+	// Obs, when non-nil, turns on the observability layer (sim-time
+	// metrics registry and typed trace events) for this run. Nil — the
+	// default — disables it entirely: reports are byte-identical to
+	// builds without the layer, and the instrumented paths cost one nil
+	// check each.
 	Obs *obs.Config
 }
 
@@ -98,11 +104,8 @@ func (o Options) withDefaults() Options {
 	if o.Topology.Kind == TopoHDD && o.Topology.HDD.Name == "" {
 		o.Topology.HDD = hdd.DefaultProfile()
 	}
-	if o.Host == (blockdev.Config{}) {
-		o.Host = blockdev.DefaultConfig()
-	}
-	if o.PSU == (power.Config{}) {
-		o.PSU = power.DefaultConfig()
+	if o.PendingCap == 0 {
+		o.PendingCap = blockdev.DefaultPendingCap
 	}
 	if o.Concurrency == 0 {
 		o.Concurrency = 1
@@ -141,7 +144,7 @@ type Platform struct {
 	Array   *array.Array // array topology
 	Host    *blockdev.Queue
 	Sched   *FaultScheduler
-	Obs     *obs.Set // nil unless Options.Obs enabled something
+	Obs     *obs.Set // nil unless Options.Obs is set
 }
 
 // NewPlatform builds and wires a complete test platform.
@@ -153,7 +156,11 @@ func NewPlatform(opts Options) (*Platform, error) {
 	k := sim.New()
 	root := sim.NewRNG(opts.Seed)
 
-	psu, err := power.New(k, opts.PSU)
+	psuCfg := power.DefaultConfig()
+	if opts.TransistorCut {
+		psuCfg = power.TransistorConfig()
+	}
+	psu, err := power.New(k, psuCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: psu: %w", err)
 	}
@@ -170,7 +177,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Sched:   nil,
 	}
 	if opts.Obs != nil {
-		p.Obs = obs.NewSet(*opts.Obs)
+		p.Obs = obs.NewSet()
 	}
 	switch opts.Topology.Kind {
 	case TopoSSD:
@@ -196,7 +203,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, fmt.Errorf("core: unknown topology kind %d", int(opts.Topology.Kind))
 	}
 
-	host, err := blockdev.New(k, p.Dev, opts.Host)
+	host, err := blockdev.New(k, p.Dev, opts.PendingCap)
 	if err != nil {
 		return nil, fmt.Errorf("core: host: %w", err)
 	}

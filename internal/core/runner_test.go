@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"powerfail/internal/power"
 	"powerfail/internal/sim"
 	"powerfail/internal/ssd"
 	"powerfail/internal/workload"
@@ -215,16 +214,15 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestPlatformOptionValidation: options that would leave a run idling to
-// MaxSimTime with no fault injected fail at construction instead.
+// TestPlatformOptionValidation: options the platform cannot run with (a
+// host queue that rejects every request, no IO thread) fail at
+// construction.
 func TestPlatformOptionValidation(t *testing.T) {
-	noRise := smallOpts(1)
-	noRise.PSU = power.Config{VNominal: 5, Capacitance: 0.02, BleedOhms: 27.7}
 	for _, c := range []struct {
 		name string
 		opts Options
 	}{
-		{"zero PSU rise time", noRise},
+		{"negative pending cap", Options{Seed: 1, PendingCap: -1}},
 		{"negative concurrency", Options{Seed: 1, Concurrency: -1}},
 	} {
 		if _, err := NewPlatform(c.opts); err == nil {
@@ -240,7 +238,7 @@ func TestReportRendering(t *testing.T) {
 	rep := runSmall(t, smallOpts(9), ExperimentSpec{
 		Name: "render", Workload: smallWrites(), Faults: 5, RequestsPerFault: 8,
 	})
-	if rep.String() == "" || rep.Row() == "" {
+	if rep.String() == "" {
 		t.Fatal("report rendering empty")
 	}
 	if rep.DataFailures() != rep.Counters.DataFailures ||
@@ -301,10 +299,7 @@ func TestFasterCutLosesMoreOrEqual(t *testing.T) {
 	slow := runSmall(t, smallOpts(12), spec)
 
 	fast := smallOpts(12)
-	fast.PSU.VNominal = 5
-	fast.PSU.Capacitance = 2e-6
-	fast.PSU.BleedOhms = 27.7
-	fast.PSU.RiseTime = sim.Millisecond
+	fast.TransistorCut = true
 	fastRep := runSmall(t, fast, spec)
 
 	if fastRep.DataLosses()+3 < slow.DataLosses() {

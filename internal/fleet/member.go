@@ -182,7 +182,7 @@ func (m *Member) ioDone(req *blockdev.Request, op blockdev.Op, pages int, rebuil
 // transitions.
 func newMember(k *sim.Kernel, prof MemberProfile, id int, psu *Node) (*Member, error) {
 	m := &Member{k: k, prof: prof, id: id, psu: psu, powered: psu.Powered(), ready: psu.Powered()}
-	q, err := blockdev.New(k, m, blockdev.DefaultConfig())
+	q, err := blockdev.New(k, m, blockdev.DefaultPendingCap)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func (s *Slot) setState(st SlotState) {
 	}
 	f := s.g.f
 	f.obs.transitions.Inc()
-	if f.obs.sc.TracingOn() {
+	if f.obs.sc.Enabled() {
 		f.obs.sc.Instant(f.k.Now(), obs.KindState,
 			s.bayName()+" "+s.state.String()+">"+st.String(), int64(st))
 	}

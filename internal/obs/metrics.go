@@ -411,11 +411,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Nil-safe.
+// Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -424,11 +421,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. Nil-safe.
+// Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -438,11 +432,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it on first use.
-// Nil-safe.
 func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{}

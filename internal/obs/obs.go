@@ -23,55 +23,28 @@ package obs
 
 import "powerfail/internal/sim"
 
-// DefaultTraceCap bounds the trace ring buffer when Config.TraceCap is
-// left zero. Old events are dropped FIFO past the cap (deterministically:
-// the drop point depends only on the event sequence, not on timing).
+// DefaultTraceCap bounds the trace ring buffer. Old events are dropped
+// FIFO past the cap (deterministically: the drop point depends only on
+// the event sequence, not on timing).
 const DefaultTraceCap = 1 << 16
 
-// Config selects which observability features a run records. The zero
-// value (and a nil *Config) disables everything; reports produced with
-// observability disabled are byte-identical to reports from builds that
-// predate this package.
-type Config struct {
-	// Metrics enables the sim-time registry: counters, gauges and
-	// latency histograms keyed by component/metric name.
-	Metrics bool
-	// Trace enables the typed event ring buffer (power cuts/restores,
-	// rebuild state transitions, txn lifecycle, queue-depth samples,
-	// block-IO spans).
-	Trace bool
-	// TraceCap bounds the ring buffer; 0 means DefaultTraceCap.
-	TraceCap int
-}
+// Config is the observability switch: a non-nil *Config turns on the
+// metrics registry and the trace ring together, and nil turns both off.
+// It has no fields; reports produced with observability off are
+// byte-identical to reports from builds that predate this package.
+type Config struct{}
 
-// Enabled reports whether any feature is on. Nil-safe.
-func (c *Config) Enabled() bool { return c != nil && (c.Metrics || c.Trace) }
-
-// Set is one run's observability state: a registry and a trace ring,
-// either of which may be nil depending on Config. A nil *Set is the
-// disabled state and is safe to use everywhere.
+// Set is one run's observability state: a metrics registry and a trace
+// ring of DefaultTraceCap events. A nil *Set is the disabled state and
+// is safe to use everywhere.
 type Set struct {
 	reg *Registry
 	tr  *Trace
 }
 
-// NewSet builds a Set for cfg, or nil when cfg enables nothing.
-func NewSet(cfg Config) *Set {
-	if !cfg.Enabled() {
-		return nil
-	}
-	s := &Set{}
-	if cfg.Metrics {
-		s.reg = NewRegistry()
-	}
-	if cfg.Trace {
-		cap := cfg.TraceCap
-		if cap <= 0 {
-			cap = DefaultTraceCap
-		}
-		s.tr = NewTrace(cap)
-	}
-	return s
+// NewSet builds a Set with metrics and tracing on.
+func NewSet() *Set {
+	return &Set{reg: NewRegistry(), tr: NewTrace(DefaultTraceCap)}
 }
 
 // Scope returns a handle-factory bound to one component name. Nil-safe:
@@ -83,25 +56,9 @@ func (s *Set) Scope(component string) Scope {
 	return Scope{set: s, comp: component}
 }
 
-// Registry returns the metrics registry, or nil when metrics are off.
-func (s *Set) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
-// Trace returns the event ring, or nil when tracing is off.
-func (s *Set) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
 // TraceEvents returns the ring contents in record order. Nil-safe.
 func (s *Set) TraceEvents() []Event {
-	if s == nil || s.tr == nil {
+	if s == nil {
 		return nil
 	}
 	return s.tr.Events()
@@ -113,14 +70,8 @@ func (s *Set) Summary() *Summary {
 	if s == nil {
 		return nil
 	}
-	sum := &Summary{}
-	if s.reg != nil {
-		s.reg.fill(sum)
-	}
-	if s.tr != nil {
-		sum.TraceEvents = s.tr.Len()
-		sum.TraceDropped = s.tr.Dropped()
-	}
+	sum := &Summary{TraceEvents: s.tr.Len(), TraceDropped: s.tr.Dropped()}
+	s.reg.fill(sum)
 	return sum
 }
 
@@ -132,13 +83,9 @@ type Scope struct {
 	comp string
 }
 
-// Enabled reports whether the scope is bound to a live Set.
+// Enabled reports whether the scope is bound to a live Set. Guard
+// expensive event construction (fmt.Sprintf state names) behind this.
 func (sc Scope) Enabled() bool { return sc.set != nil }
-
-// TracingOn reports whether trace events recorded through this scope are
-// kept. Guard expensive event construction (fmt.Sprintf state names)
-// behind this.
-func (sc Scope) TracingOn() bool { return sc.set != nil && sc.set.tr != nil }
 
 // Component returns the component name ("" for the zero Scope).
 func (sc Scope) Component() string { return sc.comp }
@@ -151,25 +98,25 @@ func (sc Scope) Sub(name string) Scope {
 	return Scope{set: sc.set, comp: sc.comp + "/" + name}
 }
 
-// Counter returns the named counter, or nil when metrics are off.
+// Counter returns the named counter, or nil for the zero Scope.
 func (sc Scope) Counter(name string) *Counter {
-	if sc.set == nil || sc.set.reg == nil {
+	if sc.set == nil {
 		return nil
 	}
 	return sc.set.reg.Counter(sc.comp + "/" + name)
 }
 
-// Gauge returns the named gauge, or nil when metrics are off.
+// Gauge returns the named gauge, or nil for the zero Scope.
 func (sc Scope) Gauge(name string) *Gauge {
-	if sc.set == nil || sc.set.reg == nil {
+	if sc.set == nil {
 		return nil
 	}
 	return sc.set.reg.Gauge(sc.comp + "/" + name)
 }
 
-// Histogram returns the named histogram, or nil when metrics are off.
+// Histogram returns the named histogram, or nil for the zero Scope.
 func (sc Scope) Histogram(name string) *Histogram {
-	if sc.set == nil || sc.set.reg == nil {
+	if sc.set == nil {
 		return nil
 	}
 	return sc.set.reg.Histogram(sc.comp + "/" + name)
@@ -177,7 +124,7 @@ func (sc Scope) Histogram(name string) *Histogram {
 
 // Instant records a zero-duration event at sim time at.
 func (sc Scope) Instant(at sim.Time, kind Kind, name string, value int64) {
-	if sc.set == nil || sc.set.tr == nil {
+	if sc.set == nil {
 		return
 	}
 	sc.set.tr.Record(Event{At: at, Kind: kind, Comp: sc.comp, Name: name, Value: value})
@@ -185,7 +132,7 @@ func (sc Scope) Instant(at sim.Time, kind Kind, name string, value int64) {
 
 // Span records an event covering [at, at+dur).
 func (sc Scope) Span(at sim.Time, dur sim.Duration, kind Kind, name string, value int64) {
-	if sc.set == nil || sc.set.tr == nil {
+	if sc.set == nil {
 		return
 	}
 	sc.set.tr.Record(Event{At: at, Dur: dur, Kind: kind, Comp: sc.comp, Name: name, Value: value})

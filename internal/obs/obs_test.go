@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -15,7 +16,7 @@ func TestNilSafety(t *testing.T) {
 	// Everything on the disabled path must be callable without panics.
 	var set *Set
 	sc := set.Scope("x")
-	if sc.Enabled() || sc.TracingOn() {
+	if sc.Enabled() {
 		t.Fatal("zero scope should be disabled")
 	}
 	sc.Counter("c").Inc()
@@ -27,12 +28,8 @@ func TestNilSafety(t *testing.T) {
 	if set.Summary() != nil || set.TraceEvents() != nil {
 		t.Fatal("nil set should summarize to nil")
 	}
-	var cfg *Config
-	if cfg.Enabled() {
-		t.Fatal("nil config should be disabled")
-	}
-	if NewSet(Config{}) != nil {
-		t.Fatal("zero config should build a nil set")
+	if on := NewSet().Scope("x"); !on.Enabled() || on.Counter("c") == nil {
+		t.Fatal("a built set should hand out live handles")
 	}
 }
 
@@ -116,7 +113,7 @@ func TestHistogramMergeEqualsWhole(t *testing.T) {
 
 func TestMergeSummaries(t *testing.T) {
 	mk := func(seed int64, n int) *Summary {
-		set := NewSet(Config{Metrics: true})
+		set := NewSet()
 		sc := set.Scope("dev")
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
@@ -153,14 +150,14 @@ func TestMergeSummaries(t *testing.T) {
 
 func TestRegistryDumpDeterministic(t *testing.T) {
 	build := func() *Summary {
-		set := NewSet(Config{Metrics: true, Trace: true, TraceCap: 4})
+		set := NewSet()
 		sc := set.Scope("zeta")
 		sc.Counter("c").Add(4)
 		sc2 := set.Scope("alpha")
 		sc2.Counter("c").Add(1)
 		sc2.Histogram("h").Observe(99)
 		sc2.Gauge("g").Set(-2)
-		for i := 0; i < 6; i++ {
+		for i := 0; i < DefaultTraceCap+2; i++ {
 			sc.Instant(sim.Time(i), KindInstant, "tick", int64(i))
 		}
 		return set.Summary()
@@ -175,7 +172,7 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("dumps differ:\n%s\n---\n%s", a.String(), b.String())
 	}
-	if !strings.Contains(a.String(), "trace events=4 dropped=2") {
+	if !strings.Contains(a.String(), fmt.Sprintf("trace events=%d dropped=2", DefaultTraceCap)) {
 		t.Fatalf("ring accounting missing from dump:\n%s", a.String())
 	}
 	// Sorted within a metric kind: counter alpha/c precedes zeta/c.

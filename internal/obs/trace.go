@@ -75,18 +75,11 @@ type Trace struct {
 
 // NewTrace returns a ring holding at most capacity events.
 func NewTrace(capacity int) *Trace {
-	if capacity <= 0 {
-		capacity = DefaultTraceCap
-	}
 	return &Trace{buf: make([]Event, capacity)}
 }
 
 // Record appends e, evicting the oldest event if the ring is full.
-// Nil-safe.
 func (t *Trace) Record(e Event) {
-	if t == nil {
-		return
-	}
 	if t.n == len(t.buf) {
 		t.buf[t.start] = e
 		t.start = (t.start + 1) % len(t.buf)
@@ -98,24 +91,14 @@ func (t *Trace) Record(e Event) {
 }
 
 // Len returns the number of retained events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}
+func (t *Trace) Len() int { return t.n }
 
 // Dropped returns how many events were evicted.
-func (t *Trace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
+func (t *Trace) Dropped() uint64 { return t.dropped }
 
 // Events returns the retained events oldest-first as a fresh slice.
 func (t *Trace) Events() []Event {
-	if t == nil || t.n == 0 {
+	if t.n == 0 {
 		return nil
 	}
 	out := make([]Event, t.n)

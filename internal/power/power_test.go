@@ -209,6 +209,9 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d should be invalid", i)
 		}
 	}
+	if err := TransistorConfig().Validate(); err != nil {
+		t.Errorf("transistor supply rejected: %v", err)
+	}
 }
 
 func TestArduinoCommands(t *testing.T) {

@@ -44,6 +44,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// TransistorConfig returns the near-instant cut of the transistor-based
+// cutters used before the paper's platform: the bulk capacitance shrinks
+// to 2 µF (tau about 38 µs with one SSD attached) and power-on ramps in
+// 1 ms. The transistor-cut ablation and erasure points run on it.
+func TransistorConfig() Config {
+	return Config{
+		VNominal:    5.0,
+		Capacitance: 2e-6,
+		BleedOhms:   27.7,
+		RiseTime:    sim.Millisecond,
+	}
+}
+
 // Validate checks the configuration for physical plausibility.
 func (c Config) Validate() error {
 	if c.VNominal <= 0 {
@@ -139,9 +152,6 @@ func New(k *sim.Kernel, cfg Config) (*PSU, error) {
 		vAtSwitch:  cfg.VNominal,
 	}, nil
 }
-
-// Config returns the electrical configuration.
-func (p *PSU) Config() Config { return p.cfg }
 
 // On reports whether the supply is switched on (the rail may still be
 // ramping or discharging; see Voltage).

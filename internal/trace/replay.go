@@ -18,8 +18,8 @@ const (
 	// ClosedLoop replays as fast as possible: the runner's closed loop
 	// pulls the next record whenever an outstanding slot frees up.
 	ClosedLoop Mode = iota
-	// OpenLoop replays with the original inter-arrival times (scaled by
-	// Config.TimeScale), so the device sees the trace's own burstiness.
+	// OpenLoop replays with the original inter-arrival times, so the
+	// device sees the trace's own burstiness.
 	OpenLoop
 )
 
@@ -53,16 +53,6 @@ type Config struct {
 	Trace *Trace
 	// Mode is the pacing policy (closed loop by default).
 	Mode Mode
-	// TimeScale multiplies open-loop inter-arrival gaps (default 1;
-	// 0.5 replays twice as fast). Ignored in closed loop.
-	TimeScale float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
-	}
-	return c
 }
 
 // Validate checks the configuration.
@@ -72,9 +62,6 @@ func (c Config) Validate() error {
 	}
 	if c.Mode < ClosedLoop || c.Mode > OpenLoop {
 		return fmt.Errorf("trace: unknown mode %d", int(c.Mode))
-	}
-	if c.TimeScale < 0 {
-		return fmt.Errorf("trace: negative TimeScale %g", c.TimeScale)
 	}
 	return nil
 }
@@ -88,28 +75,25 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		name, n = c.Trace.Name, len(c.Trace.Records)
 	}
 	return json.Marshal(struct {
-		Name      string  `json:"name"`
-		Records   int     `json:"records"`
-		Mode      Mode    `json:"mode"`
-		TimeScale float64 `json:"time_scale,omitempty"`
-	}{name, n, c.Mode, c.TimeScale})
+		Name    string `json:"name"`
+		Records int    `json:"records"`
+		Mode    Mode   `json:"mode"`
+	}{name, n, c.Mode})
 }
 
 // UnmarshalJSON decodes the compact summary MarshalJSON writes. Only the
-// pacing fields are restored — the trace records themselves are never in
+// pacing mode is restored — the trace records themselves are never in
 // JSON — so a decoded Config describes a replay but cannot re-run one
 // (Trace stays nil; Validate rejects it).
 func (c *Config) UnmarshalJSON(b []byte) error {
 	var s struct {
-		Mode      Mode    `json:"mode"`
-		TimeScale float64 `json:"time_scale"`
+		Mode Mode `json:"mode"`
 	}
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
 	c.Trace = nil
 	c.Mode = s.Mode
-	c.TimeScale = s.TimeScale
 	return nil
 }
 
@@ -153,7 +137,7 @@ type Replayer struct {
 	lap     int64        // completed passes
 	armed   int64        // absolute index of the record armed by the last arrival
 	prevArm sim.Duration // scheduled (scaled) time of that arrival
-	idleGap sim.Duration // pause cadence: the trace's scaled mean gap
+	idleGap sim.Duration // pause cadence: the trace's mean gap
 	stats   Stats
 }
 
@@ -161,7 +145,6 @@ type Replayer struct {
 // pages. The RNG must be a dedicated fork; the replayer consumes it for
 // write payload content.
 func NewReplayer(cfg Config, devPages int64, rng *sim.RNG) (*Replayer, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,15 +160,9 @@ func NewReplayer(cfg Config, devPages int64, rng *sim.RNG) (*Replayer, error) {
 		gap = sim.Microsecond
 	}
 	r.period = cfg.Trace.Duration() + gap
-	r.idleGap = sim.Duration(float64(gap) * cfg.TimeScale)
-	if r.idleGap < sim.Microsecond {
-		r.idleGap = sim.Microsecond
-	}
+	r.idleGap = gap
 	return r, nil
 }
-
-// Config returns the effective (defaulted) configuration.
-func (r *Replayer) Config() Config { return r.cfg }
 
 // OpenLoop reports whether the replayer paces its own arrivals.
 func (r *Replayer) OpenLoop() bool { return r.cfg.Mode == OpenLoop }
@@ -243,7 +220,7 @@ func (r *Replayer) place(rec Record) (addr.LPN, int, bool) {
 }
 
 // NextArrival returns the delay before the next open-loop arrival: the
-// next record's own inter-arrival gap, scaled by TimeScale, with wrapped
+// next record's own inter-arrival gap, with wrapped
 // laps continuing the schedule at the trace's cadence. The schedule is
 // pegged to the record cursor, so a runner pause (a fault cycle's
 // verification and recovery, when arrivals fire but nothing issues) never
@@ -260,7 +237,7 @@ func (r *Replayer) NextArrival() sim.Duration {
 		return r.idleGap // armed but not issued: the runner is paused
 	}
 	r.armed = idx
-	at := sim.Duration(float64(sim.Duration(idx/n)*r.period+r.cfg.Trace.Records[idx%n].At) * r.cfg.TimeScale)
+	at := sim.Duration(idx/n)*r.period + r.cfg.Trace.Records[idx%n].At
 	gap := at - r.prevArm
 	r.prevArm = at
 	if gap < 0 {

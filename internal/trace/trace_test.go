@@ -241,8 +241,7 @@ func TestReplayerClampsOversizedRequest(t *testing.T) {
 }
 
 // TestReplayerOpenLoopArrivals: open-loop gaps reproduce the original
-// inter-arrival times, wrapped laps continue the cadence, and TimeScale
-// stretches the schedule.
+// inter-arrival times and wrapped laps continue the cadence.
 func TestReplayerOpenLoopArrivals(t *testing.T) {
 	r, err := NewReplayer(Config{Trace: smallTrace(), Mode: OpenLoop}, 1<<20, sim.NewRNG(4))
 	if err != nil {
@@ -274,16 +273,6 @@ func TestReplayerOpenLoopArrivals(t *testing.T) {
 	r.Next() // lap 1 record 0 issues
 	if got := r.NextArrival(); got != 100*sim.Microsecond {
 		t.Fatalf("post-pause gap = %v, want the record's own 100us", got)
-	}
-
-	slow, err := NewReplayer(Config{Trace: smallTrace(), Mode: OpenLoop, TimeScale: 2}, 1<<20, sim.NewRNG(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.NextArrival()
-	slow.Next()
-	if got := slow.NextArrival(); got != 200*sim.Microsecond {
-		t.Fatalf("scaled gap = %v", got)
 	}
 
 	closed, err := NewReplayer(Config{Trace: smallTrace()}, 1<<20, sim.NewRNG(4))
@@ -319,7 +308,6 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Trace: &Trace{Name: "empty"}},
 		{Trace: smallTrace(), Mode: Mode(9)},
-		{Trace: smallTrace(), TimeScale: -1},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -334,13 +322,13 @@ func TestConfigValidate(t *testing.T) {
 // TestConfigJSONSummarizes: a config marshals as a summary — records never
 // enter a report.
 func TestConfigJSONSummarizes(t *testing.T) {
-	c := Config{Trace: smallTrace(), Mode: OpenLoop, TimeScale: 0.5}
+	c := Config{Trace: smallTrace(), Mode: OpenLoop}
 	b, err := c.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := string(b)
-	for _, want := range []string{`"name":"t"`, `"records":4`, `"mode":"open"`, `"time_scale":0.5`} {
+	for _, want := range []string{`"name":"t"`, `"records":4`, `"mode":"open"`} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("summary %s missing %s", got, want)
 		}

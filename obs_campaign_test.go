@@ -43,41 +43,6 @@ func dumpSummaries(t *testing.T, out *powerfail.CampaignResult) []string {
 	return dumps
 }
 
-// TestCampaignObsParallelDeterminism is the acceptance criterion for the
-// telemetry itself: with observability enabled, the same items produce
-// byte-identical metric dumps and identical trace-event streams at
-// parallelism 1 and 8.
-func TestCampaignObsParallelDeterminism(t *testing.T) {
-	items := obsItems(t, "fleet", 0.02, 4)
-	run := func(parallelism int) *powerfail.CampaignResult {
-		out, err := powerfail.NewCampaign(items,
-			powerfail.WithParallelism(parallelism),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return out
-	}
-	seq := run(1)
-	par := run(8)
-
-	seqDump, parDump := dumpSummaries(t, seq), dumpSummaries(t, par)
-	for i := range seqDump {
-		if seqDump[i] == "" {
-			t.Fatalf("item %d (%s): no obs summary", i, items[i].Label)
-		}
-		if seqDump[i] != parDump[i] {
-			t.Errorf("item %d (%s) metric dump diverged between parallelism 1 and 8:\n%s\n%s",
-				i, items[i].Label, seqDump[i], parDump[i])
-		}
-		a, b := seq.Results[i].Report.ObsTrace, par.Results[i].Report.ObsTrace
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("item %d (%s) trace diverged: %d vs %d events",
-				i, items[i].Label, len(a), len(b))
-		}
-	}
-}
-
 // TestCampaignObsEquivalence: enabling observability changes no campaign
 // report, across figures that exercise the single-SSD, array and fleet
 // paths.

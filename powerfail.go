@@ -38,12 +38,18 @@
 //
 // The paper's hardware — an Arduino-controlled ATX supply whose slow
 // capacitive discharge the drive under test experiences — and the drives
-// themselves are modelled in detail (see DESIGN.md); the software part of
+// themselves are modelled in detail (see DESIGN.md). The supply is the
+// one PSU choice Options makes: the Fig. 4 discharge by default, or the
+// near-instant cut of earlier transistor-based rigs with
+// Options.TransistorCut. The host block layer has a fixed calibration
+// (512 KiB segments, NCQ depth 32, 30 s timeout); only its pending cap
+// (Options.PendingCap) is settable. The software part of
 // the platform (fault scheduler, IO generator with checksummed data
 // packets, an analyzer applying btt's per-IO completion rule, and the
 // data-failure / FWA / IO-error taxonomy) is implemented as published;
-// traced runs carry one queue-to-complete span per completed block
-// request in the obs trace.
+// runs with observability on (a non-nil Options.Obs turns on metrics and
+// the trace ring together) carry one queue-to-complete span per
+// completed block request in the obs trace.
 //
 // Above the single-rig platform sits the fleet layer (Options.Fleet): a
 // fault-domain tree of rooms, racks, enclosures and PSUs carrying hundreds
@@ -67,13 +73,11 @@ import (
 	"io"
 
 	"powerfail/internal/array"
-	"powerfail/internal/blockdev"
 	"powerfail/internal/core"
 	"powerfail/internal/flash"
 	"powerfail/internal/fleet"
 	"powerfail/internal/hdd"
 	"powerfail/internal/obs"
-	"powerfail/internal/power"
 	"powerfail/internal/sim"
 	"powerfail/internal/ssd"
 	"powerfail/internal/trace"
@@ -84,8 +88,8 @@ import (
 // Re-exported types: the public API fronts the internal packages so that
 // downstream users never import powerfail/internal/... directly.
 type (
-	// Options configures the platform (seed, drive profile, host block
-	// layer, PSU electrical model, closed-loop concurrency).
+	// Options configures the platform (seed, drive profile, topology,
+	// host pending cap, transistor cut, closed-loop concurrency).
 	Options = core.Options
 	// Experiment describes one fault-injection experiment.
 	Experiment = core.ExperimentSpec
@@ -111,10 +115,6 @@ type (
 	SSDProfile = ssd.Profile
 	// HDDProfile describes a hard disk comparator drive.
 	HDDProfile = hdd.Profile
-	// PSUConfig is the supply's electrical model.
-	PSUConfig = power.Config
-	// HostConfig is the block-layer configuration.
-	HostConfig = blockdev.Config
 	// CellKind is the flash cell technology (SLC/MLC/TLC/QLC).
 	CellKind = flash.CellKind
 
@@ -203,9 +203,9 @@ type (
 	FleetStats = fleet.Stats
 
 	// ObsConfig enables the observability layer — a sim-time metrics
-	// registry and/or a structured trace-event ring; assign a pointer to
-	// Options.Obs. The nil default disables both and keeps reports
-	// byte-identical to pre-observability runs.
+	// registry and a structured trace-event ring; assign a pointer to
+	// Options.Obs. It has no fields. The nil default disables both and
+	// keeps reports byte-identical to pre-observability runs.
 	ObsConfig = obs.Config
 	// ObsSummary is the metrics-registry snapshot a Report carries in its
 	// optional "obs" section when enabled: sorted counter, gauge and
@@ -449,11 +449,9 @@ func DefaultTxnConfig() TxnConfig { return txn.DefaultConfig() }
 // RAID-6-like or wider m+k groups.
 func DefaultFleetConfig() FleetConfig { return fleet.DefaultConfig() }
 
-// DefaultObsConfig returns the full-observability configuration: metrics
-// and tracing on, with the stock trace-ring capacity.
-func DefaultObsConfig() ObsConfig {
-	return ObsConfig{Metrics: true, Trace: true, TraceCap: obs.DefaultTraceCap}
-}
+// DefaultObsConfig returns the observability switch; assign a pointer to
+// it to Options.Obs to turn on metrics and tracing.
+func DefaultObsConfig() ObsConfig { return ObsConfig{} }
 
 // MergeObsSummaries merges per-experiment observability summaries into
 // one (counters add, gauges sum, histograms merge bucket-exact); nil

@@ -176,4 +176,10 @@ func TestDischargeCurve(t *testing.T) {
 	if unloaded[len(unloaded)-1].V <= curve[len(curve)-1].V {
 		t.Fatal("unloaded rail should sit higher than loaded at equal times")
 	}
+	// A non-positive step used to loop forever appending samples.
+	for _, step := range []sim.Duration{0, -sim.Millisecond} {
+		if curve, brownout := powerfail.DischargeCurve(true, step, sim.Second); curve != nil || brownout != -1 {
+			t.Fatalf("step %v: %d points, brownout %v; want none and -1", step, len(curve), brownout)
+		}
+	}
 }

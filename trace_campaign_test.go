@@ -34,51 +34,6 @@ func TestBundledTracesParse(t *testing.T) {
 	}
 }
 
-// TestTraceCampaignParallelDeterminism: the tentpole acceptance criterion
-// — the same trace file and seeds produce byte-identical reports at
-// parallelism 1 and 8, and every report records the trace source with its
-// replay coverage.
-func TestTraceCampaignParallelDeterminism(t *testing.T) {
-	items := smallItems(t, "trace", 0.02)
-	run := func(parallelism int) *powerfail.CampaignResult {
-		out, err := powerfail.NewCampaign(items,
-			powerfail.WithParallelism(parallelism),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return out
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.Completed != len(items) || par.Completed != len(items) {
-		t.Fatalf("completed %d/%d, want %d", seq.Completed, par.Completed, len(items))
-	}
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	anyLoss := false
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("trace item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, items[i].Label, seqEnc[i], parEnc[i])
-		}
-		rep := seq.Results[i].Report
-		if rep.Source != "trace" || rep.TraceStats == nil {
-			t.Fatalf("trace item %d (%s): source=%q stats=%+v",
-				i, items[i].Label, rep.Source, rep.TraceStats)
-		}
-		if rep.TraceStats.Replayed == 0 || rep.TraceStats.Coverage <= 0 {
-			t.Fatalf("trace item %d (%s): nothing replayed: %+v",
-				i, items[i].Label, rep.TraceStats)
-		}
-		if rep.DataLosses() > 0 {
-			anyLoss = true
-		}
-	}
-	if !anyLoss {
-		t.Fatal("no trace point lost data — replay not reaching the volatile paths")
-	}
-}
-
 // TestTraceFigureContrast: the replayed traffic reproduces the paper's
 // topology contrast — the write-through HDD never loses acknowledged
 // requests while the volatile-cache SSD does, under the very same trace.

@@ -8,39 +8,6 @@ import (
 	"powerfail"
 )
 
-// TestTxnCampaignParallelDeterminism: the application-layer acceptance
-// criterion — the "txn" figure produces byte-identical reports at
-// parallelism 1 and 8. The engine, the oracle and every device model run
-// single-threaded per item from the item seed, so scheduling can never
-// leak into a verdict.
-func TestTxnCampaignParallelDeterminism(t *testing.T) {
-	items := smallItems(t, "txn", 0.02)
-	run := func(parallelism int) *powerfail.CampaignResult {
-		out, err := powerfail.NewCampaign(items,
-			powerfail.WithParallelism(parallelism),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return out
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.Completed != len(items) || par.Completed != len(items) {
-		t.Fatalf("completed %d/%d, want %d", seq.Completed, par.Completed, len(items))
-	}
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("txn item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, items[i].Label, seqEnc[i], parEnc[i])
-		}
-		if seq.Results[i].Report.TxnStats == nil {
-			t.Fatalf("txn item %d (%s): no TxnStats in report", i, items[i].Label)
-		}
-	}
-}
-
 // TestTxnFigureAcceptancePair: the catalog's own flush-per-commit points
 // lose no acknowledged transaction on any topology, while the no-flush
 // SSD points lose some — the barrier is the only difference.

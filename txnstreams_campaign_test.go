@@ -25,28 +25,6 @@ func runTxnStreamsFigure(t *testing.T, parallelism int) *powerfail.CampaignResul
 	return out
 }
 
-// TestTxnStreamsCampaignParallelDeterminism: the tentpole acceptance
-// criterion — the "txn-streams" figure produces byte-identical reports
-// at parallelism 1 and 8. Every stream pipeline, the round-robin
-// scheduler and both recovery-policy replays run single-threaded per
-// item from the item seed, so worker scheduling can never leak into a
-// verdict.
-func TestTxnStreamsCampaignParallelDeterminism(t *testing.T) {
-	seq := runTxnStreamsFigure(t, 1)
-	par := runTxnStreamsFigure(t, 8)
-	seqEnc, parEnc := encodeReports(t, seq), encodeReports(t, par)
-	for i := range seqEnc {
-		if seqEnc[i] != parEnc[i] {
-			t.Fatalf("txn-streams item %d (%s) diverged between parallelism 1 and 8:\n%s\n%s",
-				i, seq.Results[i].Item.Label, seqEnc[i], parEnc[i])
-		}
-		if seq.Results[i].Report.TxnStats == nil || len(seq.Results[i].Report.TxnPolicies) != 2 {
-			t.Fatalf("txn-streams item %d (%s): missing txn stats or policy ablation",
-				i, seq.Results[i].Item.Label)
-		}
-	}
-}
-
 // TestTxnStreamsPolicyAblation: the recovery-policy acceptance pair over
 // the whole figure — on every item (same schedule, same observations)
 // the strict scan loses at least as much as the hole-tolerant replay,
